@@ -51,7 +51,7 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     ``utilities`` may be 1-D (one profile) or 2-D with one row per profile;
     the softmax is taken along the last axis.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be non-negative")
     u = np.asarray(utilities, dtype=float)
     logits = beta * u
@@ -148,9 +148,22 @@ class EngineBackedDynamics:
 
     game: Game
 
+    #: caches of the exact machinery (dense / sparse transition matrix,
+    #: Markov chain); the engine never reads them
+    _EXACT_CACHES = ("_matrix", "_sparse", "_chain")
+
     def kernel(self) -> UpdateKernel:
         """The update-rule kernel advancing this dynamics on the engine."""
         raise NotImplementedError
+
+    def __getstate__(self) -> dict:
+        # Pickles ship dynamics to shard workers, which only run the
+        # engine: a cached (|S|, |S|) matrix would be copied into every
+        # task (8 MB per dispatch at |S| = 1024) for nothing.
+        return {
+            name: None if name in self._EXACT_CACHES else value
+            for name, value in self.__dict__.items()
+        }
 
     def ensemble(
         self,
@@ -247,7 +260,7 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float):
-        if beta < 0:
+        if not beta >= 0:
             raise ValueError("beta must be non-negative")
         self.game = game
         self.beta = float(beta)

@@ -25,7 +25,7 @@ __all__ = [
 def gibbs_measure(potential: np.ndarray, beta: float) -> np.ndarray:
     """The Gibbs measure ``pi(x) ∝ exp(-beta Phi(x))``, computed stably."""
     phi = np.asarray(potential, dtype=float)
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be non-negative")
     log_weights = -beta * phi
     log_z = logsumexp(log_weights)
@@ -35,7 +35,7 @@ def gibbs_measure(potential: np.ndarray, beta: float) -> np.ndarray:
 def log_partition_function(potential: np.ndarray, beta: float) -> float:
     """``log Z = log sum_x exp(-beta Phi(x))``."""
     phi = np.asarray(potential, dtype=float)
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be non-negative")
     return float(logsumexp(-beta * phi))
 

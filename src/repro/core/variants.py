@@ -78,7 +78,7 @@ class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float):
-        if beta < 0:
+        if not beta >= 0:
             raise ValueError("beta must be non-negative")
         self.game = game
         self.beta = float(beta)
@@ -187,7 +187,7 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float, p: float = 1.0):
-        if beta < 0:
+        if not beta >= 0:
             raise ValueError("beta must be non-negative")
         p = float(p)
         if not 0.0 < p <= 1.0:
@@ -607,7 +607,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float):
-        if beta < 0:
+        if not beta >= 0:
             raise ValueError("beta must be non-negative")
         self.game = game
         self.beta = float(beta)

@@ -2,12 +2,12 @@
 
 The matrix-state fast path of the engine spends essentially all of its time
 in one shape of work per step: gather the neighbor strategies of each
-replica's mover (padded/CSR adjacency), compute the mover's ``m`` deviation
+replica's mover (CSR adjacency), compute the mover's ``m`` deviation
 utilities, softmax them in log space, and map one uniform through the
 row-wise inverse CDF.  Pure vectorised numpy executes that as a pipeline of
-``(k, pad, m)`` temporaries — correct, and 55-104x over scalar loops, but
-memory traffic on the temporaries dominates once the graphs reach
-10^5 .. 10^6 players.
+temporaries sized by the movers' total degree — correct, and 55-104x over
+scalar loops, but memory traffic on the temporaries dominates once the
+graphs reach 10^5 .. 10^6 players.
 
 This module factors the choice of *how* that pipeline executes behind a
 small backend namespace:

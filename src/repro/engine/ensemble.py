@@ -604,6 +604,16 @@ class EnsembleSimulator:
                 np.asarray(predicate(self.state.profiles_at(sel)), dtype=bool)
             )
         target_arr = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+        if target_arr.size:
+            # past int64 every non-negative int64 index is in range
+            lo, hi = int(target_arr.min()), int(target_arr.max())
+            fits = self.space.fits_int64
+            if lo < 0 or (fits and hi >= self.space.size):
+                size = self.space.size if fits else "more than 2**63"
+                raise ValueError(
+                    f"target profile index {lo if lo < 0 else hi} is outside "
+                    f"the profile space ({size} profiles)"
+                )
         if target_arr.size == 1:
             target = int(target_arr[0])
             return lambda sel: self.state.indices_at(sel) == target

@@ -23,6 +23,12 @@ update touches ``O(deg)`` numbers no matter how large ``|S|`` is.
   deviation payoffs **from neighbor strategy columns only** — no profile
   index is encoded or decoded anywhere, so the game composes with the
   engine's matrix state backend at ``n`` in the thousands;
+* the adjacency is held once, in CSR form (:meth:`csr_arrays`), so the
+  game's memory is ``O(n + E)``; the sequential kernels' batched call
+  :meth:`utility_deviations_rowwise` gathers just the movers' CSR neighbor
+  slices, so a step costs the movers' *total* degree rather than the
+  number of movers times the maximum degree — which is what keeps the
+  heavy-tailed social graphs of the follow-ups cheap;
 * when the per-edge games admit exact potentials the whole game is an
   exact potential game with ``Phi(x) = sum_e P_e[s_u, s_v] - sum_i
   field[i, s_i]`` — the potential is *derived automatically* whenever it
@@ -118,45 +124,6 @@ def _edge_potential_consistent_stack(
     return sym & np.all(close(du, dp), axis=(1, 2, 3))
 
 
-class _RowwiseScratch:
-    """Reusable buffers for one row-wise deviation batch of ``k`` movers.
-
-    Steady-state stepping calls :meth:`LocalInteractionGame.
-    utility_deviations_rowwise` once per step with the same batch size, so
-    every intermediate of the padded gather lives here and is reused —
-    the hot path allocates nothing after the first step.  Buffers are laid
-    out slot-major (``(D, k)``: padding slot first) so that the per-slot
-    gathers are contiguous writes and the final per-strategy reduction runs
-    over the leading axis — numpy accumulates leading-axis reductions
-    sequentially, which keeps the summation order (and hence the floats)
-    identical to the pre-scratch implementation for every degree.
-    """
-
-    def __init__(self, k: int, D: int, n: int, m: int):
-        self.k = k
-        shape = (D, k)
-        self.nbr = np.empty(shape, dtype=np.int64)
-        self.eid = np.empty(shape, dtype=np.int64)
-        self.base = np.empty(shape, dtype=np.int64)
-        self.flat = np.empty(shape, dtype=np.int64)
-        self.strat = np.empty(shape, dtype=np.int64)
-        self.mask = np.empty(shape, dtype=float)
-        self.pick = np.empty(shape, dtype=float)
-        self.util = np.empty((k, m), dtype=float)
-        self.field = np.empty((k, m), dtype=float)
-        #: row start of each profile row in the flattened (k, n) matrix
-        self.row_offsets = (np.arange(k, dtype=np.int64) * n)[None, :]
-        self._strat_raw: dict[np.dtype, np.ndarray] = {}
-
-    def strat_raw(self, dtype: np.dtype) -> np.ndarray:
-        """Gather buffer matching the profile matrix dtype (int8/int16/...)."""
-        buf = self._strat_raw.get(dtype)
-        if buf is None:
-            buf = np.empty(self.nbr.shape, dtype=dtype)
-            self._strat_raw[dtype] = buf
-        return buf
-
-
 class LocalInteractionGame(PotentialGame):
     """Game on a social graph with per-edge payoff matrices.
 
@@ -245,6 +212,8 @@ class LocalInteractionGame(PotentialGame):
         # CSR adjacency: per player, the neighbor ids and the row of the
         # edge-matrix stack to read (the symmetric-role convention means
         # both endpoints read the same matrix, own strategy as the row).
+        # It is the game's only adjacency layout — O(n + E) memory, read by
+        # every deviation path here and by the fused backend kernels.
         # Built fully vectorised — graphs with 10^6 nodes construct in
         # milliseconds, not in a per-edge Python loop.  The stable lexsort
         # (endpoint first, edge id second) reproduces the cursor-fill order
@@ -257,33 +226,10 @@ class LocalInteractionGame(PotentialGame):
         self._nbr_offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(degrees)]
         )
-        total = int(self._nbr_offsets[-1])
         order = np.lexsort((eids, endpoints))
         self._nbr = partners[order]
         self._nbr_edge = eids[order]
-        # Padded (dense) adjacency for the row-wise engine fast path: row i
-        # lists player i's neighbors / edge rows padded to the max degree,
-        # with a 0/1 mask.  Padding entries point at node 0 / edge 0 and are
-        # masked out after the gather.
-        max_deg = int(degrees.max()) if n else 0
-        D = max(max_deg, 1)
-        self._pad_nbr = np.zeros((n, D), dtype=np.int64)
-        self._pad_edge = np.zeros((n, D), dtype=np.int64)
-        self._pad_mask = np.zeros((n, D), dtype=float)
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        pos = np.arange(total, dtype=np.int64) - np.repeat(
-            self._nbr_offsets[:-1], degrees
-        )
-        self._pad_nbr[rows, pos] = self._nbr
-        self._pad_edge[rows, pos] = self._nbr_edge
-        self._pad_mask[rows, pos] = 1.0
-        # Transposed (D, n) copies: the row-wise scratch path gathers per
-        # padding slot, so slot-major layout keeps every np.take contiguous.
-        self._pad_nbr_t = np.ascontiguousarray(self._pad_nbr.T)
-        self._pad_edge_t = np.ascontiguousarray(self._pad_edge.T)
-        self._pad_mask_t = np.ascontiguousarray(self._pad_mask.T)
-        self._edge_payoffs_flat = self._edge_payoffs.reshape(-1)
-        self._rowwise_scratch: _RowwiseScratch | None = None
+        self._rowwise_out: np.ndarray | None = None
         self._potential_cache: np.ndarray | None = None
 
     @staticmethod
@@ -436,21 +382,21 @@ class LocalInteractionGame(PotentialGame):
         ``profiles[j]`` — the fully vectorised form of
         :meth:`utility_deviations_profiles` for the sequential kernels,
         where every replica revises its own uniformly drawn player.  One
-        padded gather over ``(k, max_deg)`` neighbor slots replaces ``k``
-        per-player groups, which is what keeps the engine fast when the
-        number of replicas is comparable to ``n`` (distinct movers almost
-        everywhere).  Summation order per row matches the CSR order of
-        :meth:`utility_deviations_profiles` (padding contributes exact
-        zeros at the tail), so both paths produce identical floats.
+        gather over the movers' concatenated CSR neighbor slices replaces
+        ``k`` per-player groups, so a step costs the movers' *total* degree
+        — not ``k`` times the maximum degree — which is what keeps the
+        engine fast on heavy-tailed graphs.  Each row is summed in the CSR
+        order of :meth:`utility_deviations_profiles`, one term at a time
+        (``np.bincount`` accumulates its weights sequentially), so both
+        paths produce identical floats at every degree.
 
         Only games with a uniform strategy count per player can offer this
         (all rows share the ``m`` axis) — which local-interaction games do
         by construction.
 
-        The returned ``(k, m)`` array is a reusable per-game scratch buffer
-        (:class:`_RowwiseScratch`) — steady-state stepping is allocation-
-        free, and the values are only valid until the next call; copy them
-        to keep them across steps.
+        The returned ``(k, m)`` array is a per-game buffer reused by the
+        next call with the same ``k``: the values are only valid until then,
+        so copy them to keep them across steps.
         """
         p = np.asarray(players, dtype=np.int64)
         prof = np.asarray(profiles)
@@ -460,46 +406,32 @@ class LocalInteractionGame(PotentialGame):
             raise ValueError(
                 f"profiles must have shape ({k}, {n}), got {prof.shape}"
             )
-        if self.num_edges == 0:
-            # nothing to gather (padding would index an empty edge stack)
-            return self._field[p]
         m = int(self.space.num_strategies[0])
-        s = self._rowwise_scratch
-        if s is None or s.k != k:
-            s = self._rowwise_scratch = _RowwiseScratch(
-                k, self._pad_nbr.shape[1], n, m
-            )
-        # slot-major gathers of the movers' padded adjacency rows
-        np.take(self._pad_nbr_t, p, axis=1, out=s.nbr)
-        np.take(self._pad_edge_t, p, axis=1, out=s.eid)
-        np.take(self._pad_mask_t, p, axis=1, out=s.mask)
-        # neighbor strategies: strat[d, j] = prof[j, nbr[d, j]], gathered
-        # through the flattened profile matrix (upcast through a dtype-
-        # matched raw buffer when the engine hands int8/int16 rows)
-        np.add(s.nbr, s.row_offsets, out=s.flat)
-        flat_prof = prof.ravel()
-        if prof.dtype == np.int64:
-            np.take(flat_prof, s.flat, out=s.strat)
-        else:
-            raw = s.strat_raw(prof.dtype)
-            np.take(flat_prof, s.flat, out=raw)
-            np.copyto(s.strat, raw)
+        # the movers' CSR slices laid end to end: batch entry t belongs to
+        # row[t] and reads CSR entry slot[t]
+        starts = self._nbr_offsets.take(p)
+        degrees = self._nbr_offsets.take(p + 1) - starts
+        row = np.arange(k).repeat(degrees)
+        # per entry: CSR start of its slice minus the slice's batch start
+        shift = (starts - np.cumsum(degrees) + degrees).repeat(degrees)
+        slot = np.arange(shift.size) + shift
+        # neighbor strategies, gathered through the flattened profile matrix
+        strat = prof.ravel().take(row * n + self._nbr.take(slot))
         # flat payoff index of (edge, s, neighbor strategy) is
         # e*m*m + s*m + t; base holds the s = 0 plane
-        np.multiply(s.eid, m * m, out=s.base)
-        np.add(s.base, s.strat, out=s.base)
+        base = self._nbr_edge.take(slot) * (m * m) + strat
+        payoffs = self._edge_payoffs.reshape(-1)
+        out = self._rowwise_out
+        if out is None or out.shape[0] != k:
+            out = self._rowwise_out = np.empty((k, m), dtype=float)
         for strategy in range(m):
-            # pick[d, j] = edge_payoffs[eid[d, j], strategy, strat[d, j]]
-            np.add(s.base, strategy * m, out=s.flat)
-            np.take(self._edge_payoffs_flat, s.flat, out=s.pick)
-            np.multiply(s.pick, s.mask, out=s.pick)
-            np.sum(s.pick, axis=0, out=s.util[:, strategy])
-        np.take(self._field, p, axis=0, out=s.field)
-        np.add(s.util, s.field, out=s.util)
-        # the returned buffer is reused by the next call — callers that keep
-        # utilities across steps must copy (the engine consumes them
-        # immediately into softmax rows, so the hot path never does)
-        return s.util
+            out[:, strategy] = np.bincount(
+                row, weights=payoffs.take(base + strategy * m), minlength=k
+            )
+        out += self._field.take(p, axis=0)
+        # the engine consumes the utilities into softmax rows before the
+        # next step, so the hot path never copies
+        return out
 
     def utilities_of_profiles(self, player: int, profiles: np.ndarray) -> np.ndarray:
         """``(k,)`` realised utilities of ``player`` at ``(k, n)`` profile rows."""

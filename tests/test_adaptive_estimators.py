@@ -149,6 +149,24 @@ class TestAdaptiveHittingTimes:
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, expected)
 
+    def test_out_of_range_index_target_rejected(self, ring6_game):
+        # an index past the 64-profile space used to report "never hit"
+        # (-1) for every replica instead of an error
+        size = ring6_game.space.size
+        for bad in (size, 999, -1, [0, size]):
+            with pytest.raises(ValueError, match="outside the profile space"):
+                empirical_hitting_times(
+                    ring6_game, 1.0, 0, bad, num_replicas=4, max_steps=10,
+                    rng=np.random.default_rng(0),
+                )
+        sim = LogitDynamics(ring6_game, 1.0).ensemble(4, start=0)
+        with pytest.raises(ValueError, match="outside the profile space"):
+            sim.exit_times([0, size], max_steps=10)
+        # in-range index targets and predicates are unaffected
+        assert sim.hitting_times(size - 1, max_steps=10).shape == (4,)
+        never = sim.hitting_times(lambda p: p.sum(axis=1) > 99, max_steps=5)
+        assert never.tolist() == [-1] * 4
+
     def test_adaptive_returns_interval_carrying_estimate(self, ring6_game):
         target = consensus_target(ring6_game)
         est = empirical_hitting_times(

@@ -10,6 +10,9 @@ profile-index ceiling.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -17,12 +20,14 @@ import pytest
 from repro.core import LogitDynamics
 from repro.games import (
     CoordinationParams,
+    FiniteOpinionGame,
     GraphicalCoordinationGame,
     IsingGame,
     LocalInteractionGame,
     derive_edge_potential,
 )
 from repro.games.ising import ising_hamiltonian, spins_from_profile
+from repro.graphs import preferential_attachment_graph, star_graph
 
 
 class TestAgainstDenseConstructions:
@@ -168,6 +173,134 @@ class TestUtilityPaths:
         top = game.space.size - 1
         assert game.potential(top) == pytest.approx(-200.0)
         assert game.utility(0, top) == pytest.approx(2.0)
+
+
+class TestRowwiseCSRGather:
+    """The row-wise path gathers the movers' CSR neighbor slices.
+
+    Every row must equal :meth:`utility_deviations_profiles` bit for bit:
+    both sum the per-edge terms one at a time in CSR order.  The payoffs
+    here are random per-edge floats, so a different summation order (e.g.
+    numpy's pairwise summation, which kicks in past 8 terms) would show.
+    """
+
+    @staticmethod
+    def random_payoff_game(graph, seed, num_strategies=2):
+        rng = np.random.default_rng(seed)
+        m = num_strategies
+        payoffs = {e: rng.normal(size=(m, m)) for e in graph.edges()}
+        field = rng.normal(size=(graph.number_of_nodes(), m))
+        return LocalInteractionGame(
+            graph, payoffs, external_field=field, num_strategies=m
+        )
+
+    @staticmethod
+    def assert_rows_match(game, players, profiles):
+        rowwise = game.utility_deviations_rowwise(players, profiles).copy()
+        assert rowwise.shape == (len(players), game.space.num_strategies[0])
+        for j, player in enumerate(players):
+            np.testing.assert_array_equal(
+                rowwise[j],
+                game.utility_deviations_profiles(
+                    int(player), profiles[j : j + 1]
+                )[0],
+            )
+
+    @staticmethod
+    def random_profiles(game, k, dtype, rng):
+        m = game.space.num_strategies[0]
+        return rng.integers(0, m, size=(k, game.num_players)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    def test_star_hub_past_pairwise_block(self, dtype, rng):
+        game = self.random_payoff_game(star_graph(40), seed=3)
+        profiles = self.random_profiles(game, 12, dtype, rng)
+        # the hub (degree 39) repeated, interleaved with leaves
+        players = np.array([0, 5, 0, 0, 39, 0, 1, 0, 0, 17, 0, 0])
+        self.assert_rows_match(game, players, profiles)
+        # the data is order-sensitive: summing the hub's terms in another
+        # order changes the floats, so equality above pins the CSR order
+        lo, hi = game._nbr_offsets[0], game._nbr_offsets[1]
+        mats = game._edge_payoffs[game._nbr_edge[lo:hi]]
+        strats = profiles[0, game._nbr[lo:hi]].astype(np.int64)
+        terms = mats[np.arange(hi - lo), :, strats]
+        assert not np.array_equal(terms.sum(axis=0), terms[::-1].sum(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_preferential_attachment_hubs(self, dtype, rng):
+        graph = preferential_attachment_graph(300, 2, rng=np.random.default_rng(4))
+        game = self.random_payoff_game(graph, seed=5)
+        degrees = np.diff(game.csr_arrays()[0])
+        hubs = np.argsort(degrees)[-5:]
+        assert degrees[hubs].min() > 8
+        players = np.concatenate(
+            [hubs, rng.integers(0, game.num_players, size=27), hubs[::-1]]
+        )
+        self.assert_rows_match(
+            game, players, self.random_profiles(game, players.size, dtype, rng)
+        )
+
+    def test_isolated_nodes(self, rng):
+        graph = nx.empty_graph(9)
+        graph.add_edges_from([(1, 2), (2, 3), (2, 7)])
+        game = self.random_payoff_game(graph, seed=6)
+        players = np.array([0, 2, 4, 4, 8, 7, 0, 2])
+        profiles = self.random_profiles(game, players.size, np.int8, rng)
+        self.assert_rows_match(game, players, profiles)
+        # degree-0 movers see exactly their external field
+        rows = game.utility_deviations_rowwise(players, profiles)
+        np.testing.assert_array_equal(rows[2], game._field[4])
+        # and a graph with no edges at all
+        empty = LocalInteractionGame(
+            nx.empty_graph(4), np.zeros((2, 2)), external_field=[0.5, -0.25]
+        )
+        self.assert_rows_match(
+            empty, np.array([3, 0, 3]), np.zeros((3, 4), dtype=np.int8)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_three_opinion_game(self, dtype, rng):
+        graph = preferential_attachment_graph(120, 2, rng=np.random.default_rng(8))
+        game = FiniteOpinionGame.random(graph, num_opinions=3, rng=rng)
+        hub = int(np.argmax(np.diff(game.csr_arrays()[0])))
+        players = np.array([hub, 3, hub, 119, 3, hub, 0, 60])
+        self.assert_rows_match(
+            game, players, self.random_profiles(game, players.size, dtype, rng)
+        )
+
+    def test_pa_trajectory_pinned(self):
+        # fixed-seed MatrixState trajectory through the row-wise path; the
+        # digest was recorded with the earlier padded max-degree gather, so
+        # it pins bit-for-bit agreement of the two implementations
+        graph = preferential_attachment_graph(400, 2, rng=np.random.default_rng(2011))
+        game = IsingGame(graph, coupling=1.0, field=0.1)
+        sim = LogitDynamics(game, 0.7).ensemble(
+            48, start=(0,) * game.num_players, rng=np.random.default_rng(5),
+            state="matrix",
+        )
+        assert sim._rowwise_rule is not None
+        digest = hashlib.sha256()
+        for _ in range(6):
+            sim.run(200)
+            digest.update(np.ascontiguousarray(sim.profiles, dtype=np.int8).tobytes())
+        assert digest.hexdigest() == (
+            "14a2a928b32952a52c42756393da45a32e3989eeb7f869a932d5b99cf64e56ea"
+        )
+
+    def test_huge_star_is_linear_in_size(self):
+        # a max-degree-padded adjacency would need n * max_deg slots here
+        # (about 19 GB across its arrays); CSR needs O(n + E)
+        game = IsingGame(star_graph(20_000), coupling=1.0)
+        assert len(pickle.dumps(game)) < 20_000_000
+        sim = LogitDynamics(game, 1.0).ensemble(
+            4, start=(0,) * game.num_players, rng=np.random.default_rng(1),
+            state="matrix",
+        )
+        assert sim._rowwise_rule is not None
+        sim.step()
+        profiles = np.asarray(sim.profiles)
+        assert profiles.shape == (4, 20_000)
+        self.assert_rows_match(game, np.array([0, 19_999, 0, 7]), profiles)
 
 
 class TestEdgeSpecifications:

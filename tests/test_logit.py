@@ -42,6 +42,11 @@ class TestUpdateRule:
         with pytest.raises(ValueError):
             logit_update_distribution(np.zeros(2), beta=-1.0)
 
+    def test_nan_beta_rejected(self):
+        # nan < 0 is False: a sign-only guard would return all-NaN rows
+        with pytest.raises(ValueError, match="non-negative"):
+            logit_update_distribution(np.zeros(2), beta=float("nan"))
+
     def test_equation2_closed_form(self, ring5_ising_game):
         """sigma_i(y | x) = exp(beta u_i(y, x_-i)) / sum_z exp(beta u_i(z, x_-i))."""
         game = ring5_ising_game
@@ -103,6 +108,12 @@ class TestTransitionMatrix:
     def test_negative_beta_rejected(self, ring5_ising_game):
         with pytest.raises(ValueError):
             LogitDynamics(ring5_ising_game, -0.5)
+
+    def test_nan_beta_rejected(self, ring5_ising_game):
+        # a NaN beta used to build a frozen chain whose stationary
+        # distribution was all-NaN, without any error
+        with pytest.raises(ValueError, match="non-negative"):
+            LogitDynamics(ring5_ising_game, float("nan"))
 
 
 class TestChainProperties:

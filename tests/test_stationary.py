@@ -20,6 +20,13 @@ class TestGibbsMeasure:
         phi = np.array([0.0, 5.0, -2.0, 1.0])
         np.testing.assert_allclose(gibbs_measure(phi, 0.0), np.full(4, 0.25))
 
+    def test_nan_beta_rejected(self):
+        phi = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            gibbs_measure(phi, float("nan"))
+        with pytest.raises(ValueError, match="non-negative"):
+            log_partition_function(phi, float("nan"))
+
     def test_normalisation(self):
         rng = np.random.default_rng(0)
         phi = rng.normal(size=16)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core import LogitDynamics, gibbs_measure
 from repro.core.variants import (
     AnnealedLogitDynamics,
     BestResponseDynamics,
+    ConcurrentLogitDynamics,
     ParallelLogitDynamics,
     RoundRobinLogitDynamics,
 )
@@ -70,6 +73,30 @@ class TestParallelLogitDynamics:
     def test_negative_beta_rejected(self, ring5_ising_game):
         with pytest.raises(ValueError):
             ParallelLogitDynamics(ring5_ising_game, -1.0)
+
+    def test_pickle_leaves_out_exact_caches(self, ring5_ising_game):
+        # shard workers only run the engine: the cached dense matrix must
+        # not ride along in every pickled task
+        for dynamics in (
+            ParallelLogitDynamics(ring5_ising_game, 1.0),
+            LogitDynamics(ring5_ising_game, 1.0),
+        ):
+            P = dynamics.transition_matrix()
+            dynamics.markov_chain()
+            clone = pickle.loads(pickle.dumps(dynamics))
+            assert dynamics._matrix is not None
+            assert all(
+                getattr(clone, name, None) is None
+                for name in ("_matrix", "_sparse", "_chain")
+            )
+            np.testing.assert_array_equal(clone.transition_matrix(), P)
+
+    def test_nan_beta_rejected(self, ring5_ising_game):
+        for cls in (
+            ParallelLogitDynamics, ConcurrentLogitDynamics, RoundRobinLogitDynamics
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                cls(ring5_ising_game, float("nan"))
 
 
 class TestBestResponseDynamics:
