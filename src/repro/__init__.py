@@ -184,7 +184,6 @@ from .markov import (
 )
 from .stats import (
     EmpiricalBernsteinCS,
-    HedgedBettingCS,
     NormalMixtureCS,
     QuantileCS,
     QuantileEstimate,
@@ -331,7 +330,6 @@ __all__ = [
     "total_variation",
     # stats
     "EmpiricalBernsteinCS",
-    "HedgedBettingCS",
     "NormalMixtureCS",
     "QuantileCS",
     "QuantileEstimate",

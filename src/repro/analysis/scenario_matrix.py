@@ -27,7 +27,7 @@ CI uploads as ``SCENARIO_MATRIX.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import networkx as nx
@@ -35,11 +35,16 @@ import numpy as np
 
 from ..games.base import Game
 from ..obs import as_tracer
-from ..parallel.sharding import claim_executor
 from ..parallel.store import as_store
-from ..stats.knobs import require_executor_seed, require_store_seed
 from .report import format_interval, format_value, render_table
-from .sweep import SweepResult, _named_seed_children, dynamics_family_sweep
+from .sweep import (
+    SweepResult,
+    _cell_name,
+    _named_seed_children,
+    _root_seed,
+    dynamics_family_sweep,
+    run_cells,
+)
 
 __all__ = [
     "ScenarioCell",
@@ -156,89 +161,66 @@ def scenario_matrix(
     if not graphs:
         raise ValueError("need at least one topology")
     tracer = as_tracer(tracer)
+    # one store instance for every cell's sweep
     store = as_store(store, tracer=tracer)
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence) or seed is None
-        else np.random.SeedSequence(seed)
-    )
-    if tracer.enabled:
-        tracer.event(
-            "matrix.begin",
-            families=len(families),
-            topologies=len(graphs),
-            cells=len(families) * len(graphs),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    cells: list[ScenarioCell] = []
-    try:
-        for family_name, make_game in families.items():
-            for topo_name, graph in graphs.items():
+    root = _root_seed(seed)
+
+    def cells():
+        for family_name in families:
+            for topo_name in graphs:
                 cell_name = f"{family_name}::{topo_name}"
-                tic = perf_counter() if tracer.enabled else 0.0
-                game = make_game(graph)
                 cell_seed = (
                     _named_seed_children(root, cell_name, 1)[0]
                     if root is not None
                     else None
                 )
-                sweep = dynamics_family_sweep(
-                    game,
-                    dynamics_factories,
-                    reference=reference(game) if callable(reference) else reference,
-                    num_replicas=num_replicas,
-                    epsilon=epsilon,
-                    max_time=max_time,
-                    check_every=check_every,
-                    start=start(game) if callable(start) else start,
-                    escape_states=(
-                        escape_states(game)
-                        if callable(escape_states)
-                        else escape_states
-                    ),
-                    max_escape_steps=max_escape_steps,
-                    welfare_alpha=welfare_alpha,
-                    seed=cell_seed,
-                    executor=executor,
-                    store=store,
-                    store_tag=(
-                        f"{store_tag}::{cell_name}"
-                        if store_tag is not None
-                        else cell_name
-                    ),
-                    tail_q=tail_q,
-                    tracer=tracer,
-                )
-                cells.append(
-                    ScenarioCell(
-                        game_family=family_name,
-                        topology=topo_name,
-                        num_players=int(game.num_players),
-                        num_edges=int(graph.number_of_edges()),
-                        sweep=sweep,
-                    )
-                )
-                if tracer.enabled:
-                    tracer.event(
-                        "matrix.cell",
-                        cell=cell_name,
-                        num_players=int(game.num_players),
-                        seconds=perf_counter() - tic,
-                    )
-        if tracer.enabled:
-            tracer.event("matrix.end", cells=len(cells))
-    finally:
-        if owned_executor:
-            executor.close()
+                tag = _cell_name(store_tag, cell_name)
+                yield tag, None, partial(run_cell, family_name, topo_name, tag, cell_seed)
+
+    def run_cell(family_name, topo_name, tag, cell_seed, executor):
+        graph = graphs[topo_name]
+        game = families[family_name](graph)
+        sweep = dynamics_family_sweep(
+            game,
+            dynamics_factories,
+            reference=reference(game) if callable(reference) else reference,
+            num_replicas=num_replicas,
+            epsilon=epsilon,
+            max_time=max_time,
+            check_every=check_every,
+            start=start(game) if callable(start) else start,
+            escape_states=(
+                escape_states(game)
+                if callable(escape_states)
+                else escape_states
+            ),
+            max_escape_steps=max_escape_steps,
+            welfare_alpha=welfare_alpha,
+            seed=cell_seed,
+            executor=executor,
+            store=store,
+            store_tag=tag,
+            tail_q=tail_q,
+            tracer=tracer,
+        )
+        return ScenarioCell(
+            game_family=family_name,
+            topology=topo_name,
+            num_players=int(game.num_players),
+            num_edges=int(graph.number_of_edges()),
+            sweep=sweep,
+        )
+
+    results = run_cells(
+        "matrix", cells(), seed=seed, executor=executor, store=store,
+        tracer=tracer, families=len(families), topologies=len(graphs),
+        cells=len(families) * len(graphs),
+    )
     return ScenarioMatrixResult(
         game_families=tuple(families),
         topologies=tuple(graphs),
         dynamics=dynamics_names,
-        cells=tuple(cells),
+        cells=tuple(results),
     )
 
 

@@ -8,12 +8,19 @@ sweep helpers here run a game family over a grid of parameters, collect the
 measured mixing/relaxation times next to the paper's bounds, and extract
 the empirical exponential growth rate so the benchmarks can check slopes as
 well as sandwich inequalities.
+
+The sampled sweeps and :func:`~repro.analysis.scenario_matrix.scenario_matrix`
+share one cell lifecycle, :func:`run_cells`: each grid point is a ``(name,
+spec, compute)`` cell, and the runner owns the knob checks, the executor,
+the store round-trip (``ExperimentStore.get_or_compute``) and the trace
+events, so a sweep is its own knob validation, a spec builder and a compute.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
@@ -88,53 +95,86 @@ def _named_seed_children(
     return child.spawn(count)
 
 
-def _cached_record(store, spec) -> SweepRecord | None:
-    """Rebuild a :class:`SweepRecord` from a stored cell, or ``None`` on miss.
+def _root_seed(seed) -> np.random.SeedSequence | None:
+    """The sweep's master ``SeedSequence`` (``None`` stays ``None``)."""
+    if seed is None or isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
-    The cached cell carries everything but provenance; the rebuilt record
-    is tagged ``extra["provenance"] = "store"`` so report tables show
-    which cells were loaded rather than computed.
-    """
-    if store is None:
-        return None
-    cell = store.get(spec)
-    if cell is None:
-        return None
-    extra = dict(cell.get("extra", {}))
-    extra["provenance"] = "store"
+
+def _cell_name(store_tag: str | None, label) -> str:
+    """Hierarchical cell name: the sweep's ``store_tag``, then the label."""
+    return f"{store_tag}::{label}" if store_tag is not None else str(label)
+
+
+def _as_record(cell: Mapping) -> SweepRecord:
+    """Rebuild a :class:`SweepRecord` from a cell's stored dict."""
     return SweepRecord(
         parameter=float(cell["parameter"]),
         mixing_time=float(cell.get("mixing_time", float("nan"))),
         relaxation_time=float(cell.get("relaxation_time", float("nan"))),
-        extra=extra,
+        extra=dict(cell.get("extra", {})),
     )
 
 
-def _store_record(store, spec, record: SweepRecord) -> SweepRecord:
-    """Persist a freshly computed cell; returns it tagged as computed.
+def run_cells(
+    kind: str, cells, /, *, seed, executor, store, tracer, **begin
+) -> list:
+    """Run ``(name, spec, compute)`` cells through the one cell lifecycle.
 
-    Cells are written the moment they complete, so a sweep killed
-    mid-grid resumes from its last completed cell on the next run.
+    ``cells`` is consumed lazily, so a sweep derives each cell's seed and
+    spec as it reaches the cell.  ``compute(executor)`` returns the cell's
+    result: for a cacheable cell, the record dict the store keeps.  With a
+    ``store``, a cell whose ``spec`` is not ``None`` is loaded or computed
+    and written at once (a killed sweep resumes from its last completed
+    cell), and its ``extra["provenance"]`` says ``"store"`` or
+    ``"computed"``; ``spec=None`` marks a cell that is never cached.
+
+    Traces ``{kind}.begin`` (``begin`` plus the ``store``/``sharded``
+    flags), one ``{kind}.cell`` per cell (full ``cell`` name,
+    ``provenance``, wall-clock ``seconds``) and ``{kind}.end``, with
+    ``store.hit``/``store.miss`` counters that agree with
+    :func:`~repro.analysis.report.provenance_summary`.
     """
-    if store is None:
-        return record
-    store.put(
-        spec,
-        {
-            "parameter": record.parameter,
-            "mixing_time": record.mixing_time,
-            "relaxation_time": record.relaxation_time,
-            "extra": dict(record.extra),
-        },
-    )
-    extra = dict(record.extra)
-    extra["provenance"] = "computed"
-    return SweepRecord(
-        parameter=record.parameter,
-        mixing_time=record.mixing_time,
-        relaxation_time=record.relaxation_time,
-        extra=extra,
-    )
+    store = as_store(store, tracer=tracer)
+    require_store_seed(store, seed)
+    require_executor_seed(executor, seed)
+    executor, owned_executor = claim_executor(executor)
+    if tracer.enabled:
+        tracer.event(
+            f"{kind}.begin",
+            **begin,
+            store=store is not None,
+            sharded=executor is not None,
+        )
+    results = []
+    try:
+        for name, spec, compute in cells:
+            tic = perf_counter() if tracer.enabled else 0.0
+            provenance = "computed"
+            if store is None or spec is None:
+                result = compute(executor)
+            else:
+                result, cached = store.get_or_compute(spec, lambda: compute(executor))
+                provenance = "store" if cached else "computed"
+                if tracer.enabled:
+                    tracer.count("store.hit" if cached else "store.miss")
+                extra = {**result.get("extra", {}), "provenance": provenance}
+                result = {**result, "extra": extra}
+            results.append(result)
+            if tracer.enabled:
+                tracer.event(
+                    f"{kind}.cell",
+                    cell=name,
+                    provenance=provenance,
+                    seconds=perf_counter() - tic,
+                )
+        if tracer.enabled:
+            tracer.event(f"{kind}.end", cells=len(results))
+    finally:
+        if owned_executor:
+            executor.close()
+    return results
 
 
 def _trace_welfare_curve(
@@ -294,112 +334,69 @@ def ensemble_beta_sweep(
     """
     reject_seed_rng_conflict(seed, rng)
     tracer = as_tracer(tracer)
-    store = as_store(store, tracer=tracer)
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence) or seed is None
-        else np.random.SeedSequence(seed)
-    )
+    root = _root_seed(seed)
     betas = [float(beta) for beta in betas]
-    if tracer.enabled:
-        tracer.event(
-            "sweep.begin",
-            sweep="ensemble_beta_sweep",
-            cells=len(betas),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    records = []
-    try:
+
+    def cells():
         for beta in betas:
             cell_seed = root.spawn(1)[0] if root is not None else None
-            spec = None
-            if store is not None:
-                spec = {
-                    "sweep": "ensemble_beta_sweep",
-                    "game": describe(game),
-                    "tag": store_tag,
-                    "beta": beta,
-                    "num_replicas": int(num_replicas),
-                    "epsilon": float(epsilon),
-                    "max_time": int(max_time),
-                    "alpha": alpha,
-                    "extra": _described_factories(store_tag, extra=extra),
-                    # serial (one shared generator) and sharded (one stream
-                    # per replica) runs draw different samples from the same
-                    # seed; the contract is part of the cell's identity
-                    "randomness": "sharded" if executor is not None else "serial",
-                    "seed": describe(cell_seed),
-                }
-                cached = _cached_record(store, spec)
-                if cached is not None:
-                    if tracer.enabled:
-                        tracer.count("store.hit")
-                        tracer.event(
-                            "sweep.cell",
-                            sweep="ensemble_beta_sweep",
-                            cell=beta,
-                            provenance="store",
-                        )
-                    records.append(cached)
-                    continue
-            if store is not None and tracer.enabled:
-                tracer.count("store.miss")
-            tic = perf_counter() if tracer.enabled else 0.0
-            estimate = estimate_mixing_time_ensemble(
-                game,
-                beta,
-                num_replicas=num_replicas,
-                epsilon=epsilon,
-                max_time=max_time,
-                rng=(
-                    np.random.default_rng(cell_seed)
-                    if cell_seed is not None and executor is None
-                    else rng
-                ),
-                alpha=alpha,
-                executor=executor,
-                seed=cell_seed if executor is not None else None,
-                tracer=tracer,
-            )
-            extras = {
-                "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
-                "capped": estimate.capped,
-                "converged": estimate.converged,
+            spec = None if store is None else {
+                "sweep": "ensemble_beta_sweep",
+                "game": describe(game),
+                "tag": store_tag,
+                "beta": beta,
+                "num_replicas": int(num_replicas),
+                "epsilon": float(epsilon),
+                "max_time": int(max_time),
+                "alpha": alpha,
+                "extra": _described_factories(store_tag, extra=extra),
+                # serial (one shared generator) and sharded (one stream
+                # per replica) runs draw different samples from the same
+                # seed; the contract is part of the cell's identity
+                "randomness": "sharded" if executor is not None else "serial",
+                "seed": describe(cell_seed),
             }
-            if estimate.tv_band is not None:
-                extras["tv_lower"] = float(estimate.tv_band[-1, 0])
-                extras["tv_upper"] = float(estimate.tv_band[-1, 1])
-            if extra is not None:
-                extras.update(extra(game, beta))
-            record = SweepRecord(
-                parameter=beta,
-                mixing_time=float(estimate.mixing_time_estimate),
-                relaxation_time=float("nan"),
-                extra=extras,
-            )
-            records.append(
-                _store_record(store, spec, record) if store is not None else record
-            )
-            if tracer.enabled:
-                tracer.event(
-                    "sweep.cell",
-                    sweep="ensemble_beta_sweep",
-                    cell=beta,
-                    provenance="computed",
-                    seconds=perf_counter() - tic,
-                )
-        if tracer.enabled:
-            tracer.event(
-                "sweep.end", sweep="ensemble_beta_sweep", cells=len(records)
-            )
-    finally:
-        if owned_executor:
-            executor.close()
-    return SweepResult(parameter_name="beta", records=tuple(records))
+            yield _cell_name(store_tag, beta), spec, partial(measure, beta, cell_seed)
+
+    def measure(beta, cell_seed, executor):
+        estimate = estimate_mixing_time_ensemble(
+            game,
+            beta,
+            num_replicas=num_replicas,
+            epsilon=epsilon,
+            max_time=max_time,
+            rng=(
+                np.random.default_rng(cell_seed)
+                if cell_seed is not None and executor is None
+                else rng
+            ),
+            alpha=alpha,
+            executor=executor,
+            seed=cell_seed if executor is not None else None,
+            tracer=tracer,
+        )
+        extras = {
+            "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
+            "capped": estimate.capped,
+            "converged": estimate.converged,
+        }
+        if estimate.tv_band is not None:
+            extras["tv_lower"] = float(estimate.tv_band[-1, 0])
+            extras["tv_upper"] = float(estimate.tv_band[-1, 1])
+        if extra is not None:
+            extras.update(extra(game, beta))
+        return {
+            "parameter": beta,
+            "mixing_time": float(estimate.mixing_time_estimate),
+            "relaxation_time": float("nan"),
+            "extra": extras,
+        }
+
+    records = run_cells(
+        "sweep", cells(), seed=seed, executor=executor, store=store,
+        tracer=tracer, sweep="ensemble_beta_sweep", cells=len(betas),
+    )
+    return SweepResult(parameter_name="beta", records=tuple(map(_as_record, records)))
 
 
 def dynamics_family_sweep(
@@ -502,191 +499,145 @@ def dynamics_family_sweep(
         raise ValueError("need at least one dynamics factory to sweep")
     reject_seed_rng_conflict(seed, rng)
     tracer = as_tracer(tracer)
-    store = as_store(store, tracer=tracer)
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence) or seed is None
-        else np.random.SeedSequence(seed)
-    )
+    root = _root_seed(seed)
     rng = np.random.default_rng() if rng is None and root is None else rng
-    if tracer.enabled:
-        tracer.event(
-            "sweep.begin",
-            sweep="dynamics_family_sweep",
-            cells=len(entries),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    records = []
-    try:
+
+    def cells():
         for position, (name, factory) in enumerate(entries):
             tv_seed, escape_seed = (
                 _named_seed_children(root, name, 2)
                 if root is not None
                 else (None, None)
             )
-            spec = None
-            if store is not None:
-                spec = {
-                    "sweep": "dynamics_family_sweep",
-                    "game": describe(game),
-                    "tag": store_tag,
-                    "family": str(name),
-                    "reference": describe(
-                        None if reference is None else np.asarray(reference, dtype=float)
-                    ),
-                    "num_replicas": int(num_replicas),
-                    "epsilon": float(epsilon),
-                    "max_time": int(max_time),
-                    "check_every": check_every,
-                    "start": describe(start),
-                    "escape_states": describe(
-                        None
-                        if escape_states is None
-                        else np.asarray(escape_states, dtype=np.int64)
-                    ),
-                    "max_escape_steps": int(max_escape_steps),
-                    "welfare_alpha": float(welfare_alpha),
-                    # serial and sharded TV drivers draw different samples
-                    # from the same seed; the contract is part of the spec
-                    "randomness": "sharded" if executor is not None else "serial",
-                    "seed": [describe(tv_seed), describe(escape_seed)],
-                }
+            spec = None if store is None else {
+                "sweep": "dynamics_family_sweep",
+                "game": describe(game),
+                "tag": store_tag,
+                "family": str(name),
+                "reference": describe(
+                    None if reference is None else np.asarray(reference, dtype=float)
+                ),
+                "num_replicas": int(num_replicas),
+                "epsilon": float(epsilon),
+                "max_time": int(max_time),
+                "check_every": check_every,
+                "start": describe(start),
+                "escape_states": describe(
+                    None
+                    if escape_states is None
+                    else np.asarray(escape_states, dtype=np.int64)
+                ),
+                "max_escape_steps": int(max_escape_steps),
+                "welfare_alpha": float(welfare_alpha),
+                # serial and sharded TV drivers draw different samples
+                # from the same seed; the contract is part of the spec
+                "randomness": "sharded" if executor is not None else "serial",
+                "seed": [describe(tv_seed), describe(escape_seed)],
                 # joins the spec only when set — pre-tail cells keep their
                 # content addresses
-                if tail_q is not None:
-                    spec["tail_q"] = float(tail_q)
-                cached = _cached_record(store, spec)
-                if cached is not None:
-                    if tracer.enabled:
-                        tracer.count("store.hit")
-                        tracer.event(
-                            "sweep.cell",
-                            sweep="dynamics_family_sweep",
-                            cell=str(name),
-                            provenance="store",
-                        )
-                    # parameter is the *current* position in the sweep order,
-                    # not whatever position the cell was computed at
-                    records.append(
-                        SweepRecord(
-                            parameter=float(position),
-                            mixing_time=cached.mixing_time,
-                            relaxation_time=cached.relaxation_time,
-                            extra=cached.extra,
-                        )
-                    )
-                    continue
-            if store is not None and tracer.enabled:
-                tracer.count("store.miss")
-            tic = perf_counter() if tracer.enabled else 0.0
-            dynamics = factory(game)
-            if reference is None:
-                if not hasattr(dynamics, "stationary_distribution"):
-                    raise ValueError(
-                        f"dynamics family {name!r} exposes no stationary_"
-                        f"distribution(); pass an explicit reference distribution"
-                    )
-                target = np.asarray(dynamics.stationary_distribution(), dtype=float)
-            else:
-                target = np.asarray(reference, dtype=float)
-            estimate = estimate_tv_convergence(
-                dynamics,
-                target,
-                num_replicas=num_replicas,
-                epsilon=epsilon,
-                start=start,
-                max_time=max_time,
-                check_every=check_every,
-                rng=(
-                    np.random.default_rng(tv_seed)
-                    if tv_seed is not None and executor is None
-                    else rng
-                ),
-                executor=executor,
-                seed=tv_seed if executor is not None else None,
+                **({} if tail_q is None else {"tail_q": float(tail_q)}),
+            }
+            yield _cell_name(store_tag, name), spec, partial(
+                measure, position, name, factory, tv_seed, escape_seed
+            )
+
+    def measure(position, name, factory, tv_seed, escape_seed, executor):
+        dynamics = factory(game)
+        if reference is None:
+            if not hasattr(dynamics, "stationary_distribution"):
+                raise ValueError(
+                    f"dynamics family {name!r} exposes no stationary_"
+                    f"distribution(); pass an explicit reference distribution"
+                )
+            target = np.asarray(dynamics.stationary_distribution(), dtype=float)
+        else:
+            target = np.asarray(reference, dtype=float)
+        estimate = estimate_tv_convergence(
+            dynamics,
+            target,
+            num_replicas=num_replicas,
+            epsilon=epsilon,
+            start=start,
+            max_time=max_time,
+            check_every=check_every,
+            rng=(
+                np.random.default_rng(tv_seed)
+                if tv_seed is not None and executor is None
+                else rng
+            ),
+            executor=executor,
+            seed=tv_seed if executor is not None else None,
+            tracer=tracer,
+        )
+        # utilitarian welfare of the settled ensemble: one batched
+        # all-player utility gather over the final replica states, with a
+        # CLT-style confidence interval for the mean (one-shot evaluation
+        # of the time-uniform boundary — conservative, never invalid)
+        welfare_samples = game.utility_profile_many(
+            estimate.final_indices
+        ).sum(axis=1)
+        welfare_cs = NormalMixtureCS(alpha=welfare_alpha)
+        welfare_cs.update(welfare_samples)
+        welfare_lower, welfare_upper = welfare_cs.interval()
+        _trace_welfare_curve(tracer, str(name), welfare_samples, welfare_alpha)
+        extras: dict = {
+            "dynamics": name,
+            "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
+            "capped": estimate.capped,
+            "converged": estimate.converged,
+            "mean_welfare": float(welfare_samples.mean()),
+            "welfare_lower": float(welfare_lower),
+            "welfare_upper": float(welfare_upper),
+        }
+        if escape_states is not None:
+            well = np.unique(np.asarray(escape_states, dtype=np.int64))
+            escape_rng = (
+                np.random.default_rng(escape_seed) if escape_seed is not None else rng
+            )
+            sim = dynamics.ensemble(
+                num_replicas,
+                start_indices=escape_rng.choice(well, size=num_replicas),
+                rng=escape_rng,
                 tracer=tracer,
             )
-            # utilitarian welfare of the settled ensemble: one batched
-            # all-player utility gather over the final replica states, with a
-            # CLT-style confidence interval for the mean (one-shot evaluation
-            # of the time-uniform boundary — conservative, never invalid)
-            welfare_samples = game.utility_profile_many(
-                estimate.final_indices
-            ).sum(axis=1)
-            welfare_cs = NormalMixtureCS(alpha=welfare_alpha)
-            welfare_cs.update(welfare_samples)
-            welfare_lower, welfare_upper = welfare_cs.interval()
-            _trace_welfare_curve(tracer, str(name), welfare_samples, welfare_alpha)
-            extras: dict = {
-                "dynamics": name,
-                "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
-                "capped": estimate.capped,
-                "converged": estimate.converged,
-                "mean_welfare": float(welfare_samples.mean()),
-                "welfare_lower": float(welfare_lower),
-                "welfare_upper": float(welfare_upper),
-            }
-            if escape_states is not None:
-                well = np.unique(np.asarray(escape_states, dtype=np.int64))
-                escape_rng = (
-                    np.random.default_rng(escape_seed) if escape_seed is not None else rng
-                )
-                sim = dynamics.ensemble(
-                    num_replicas,
-                    start_indices=escape_rng.choice(well, size=num_replicas),
-                    rng=escape_rng,
-                    tracer=tracer,
-                )
-                times = sim.exit_times(well, max_steps=max_escape_steps)
-                escaped = times[times >= 0]
-                extras["escape_fraction"] = float(escaped.size / times.size)
-                extras["mean_escape_time"] = (
-                    float(escaped.mean()) if escaped.size else float("nan")
-                )
-                if tail_q is not None:
-                    # quantile of the *truncated* escape time min(tau, horizon):
-                    # one-shot evaluation of the time-uniform quantile CS over
-                    # the fixed ensemble (conservative, never invalid)
-                    truncated = np.where(
-                        times < 0, max_escape_steps, times
-                    ).astype(float)
-                    tail_cs = QuantileCS(
-                        float(tail_q),
-                        alpha=welfare_alpha,
-                        support=(0.0, float(max_escape_steps)),
-                    )
-                    tail_cs.update(truncated)
-                    tail = tail_cs.result()
-                    extras["escape_quantile_q"] = float(tail.q)
-                    extras["escape_quantile"] = float(tail.estimate)
-                    extras["escape_quantile_lower"] = float(tail.lower)
-                    extras["escape_quantile_upper"] = float(tail.upper)
-            record = SweepRecord(
-                parameter=float(position),
-                mixing_time=float(estimate.mixing_time_estimate),
-                relaxation_time=float("nan"),
-                extra=extras,
+            times = sim.exit_times(well, max_steps=max_escape_steps)
+            escaped = times[times >= 0]
+            extras["escape_fraction"] = float(escaped.size / times.size)
+            extras["mean_escape_time"] = (
+                float(escaped.mean()) if escaped.size else float("nan")
             )
-            records.append(_store_record(store, spec, record) if store is not None else record)
-            if tracer.enabled:
-                tracer.event(
-                    "sweep.cell",
-                    sweep="dynamics_family_sweep",
-                    cell=str(name),
-                    provenance="computed",
-                    seconds=perf_counter() - tic,
+            if tail_q is not None:
+                # quantile of the *truncated* escape time min(tau, horizon):
+                # one-shot evaluation of the time-uniform quantile CS over
+                # the fixed ensemble (conservative, never invalid)
+                truncated = np.where(
+                    times < 0, max_escape_steps, times
+                ).astype(float)
+                tail_cs = QuantileCS(
+                    float(tail_q),
+                    alpha=welfare_alpha,
+                    support=(0.0, float(max_escape_steps)),
                 )
-        if tracer.enabled:
-            tracer.event(
-                "sweep.end", sweep="dynamics_family_sweep", cells=len(records)
-            )
-    finally:
-        if owned_executor:
-            executor.close()
+                tail_cs.update(truncated)
+                tail = tail_cs.result()
+                extras["escape_quantile_q"] = float(tail.q)
+                extras["escape_quantile"] = float(tail.estimate)
+                extras["escape_quantile_lower"] = float(tail.lower)
+                extras["escape_quantile_upper"] = float(tail.upper)
+        return {
+            "parameter": float(position),
+            "mixing_time": float(estimate.mixing_time_estimate),
+            "relaxation_time": float("nan"),
+            "extra": extras,
+        }
+
+    records = run_cells(
+        "sweep", cells(), seed=seed, executor=executor, store=store,
+        tracer=tracer, sweep="dynamics_family_sweep", cells=len(entries),
+    )
+    # parameter is the *current* position in the sweep order, not whatever
+    # position a stored cell was computed at
+    records = [replace(_as_record(r), parameter=float(i)) for i, r in enumerate(records)]
     return SweepResult(parameter_name="dynamics_family", records=tuple(records))
 
 
@@ -817,7 +768,6 @@ def hitting_time_size_sweep(
             "the sweep's tail columns ride the adaptive estimator; pass "
             "precision= (and seed=) together with q="
         )
-    store = as_store(store, tracer=tracer)
     if store is not None and precision is None:
         raise ValueError(
             "store= caches adaptive (precision=) cells, which are pure "
@@ -828,134 +778,53 @@ def hitting_time_size_sweep(
     reject_executor_without_precision(
         precision, executor, fixed_path="runs one shared-rng ensemble per size"
     )
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
     sizes = [int(n) for n in sizes]
-    if tracer.enabled:
-        tracer.event(
-            "sweep.begin",
-            sweep="hitting_time_size_sweep",
-            cells=len(sizes),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    records = []
-    if precision is not None:
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-    try:
+    # adaptive cells are always seeded: fresh entropy when seed is None
+    root = _root_seed(seed) if seed is not None else np.random.SeedSequence()
+
+    def cells():
         for n in sizes:
-            if precision is not None:
-                # spawned unconditionally — cache hits must not shift the
-                # seeds of the cells that still need computing
-                cell_seed = root.spawn(1)[0]
-                spec = None
-                if store is not None:
-                    spec = {
-                        "sweep": "hitting_time_size_sweep",
-                        "factories": _described_factories(
-                            store_tag,
-                            game_factory=game_factory,
-                            start_factory=start_factory,
-                            target_factory=target_factory,
-                            dynamics_factory=dynamics_factory,
-                        ),
-                        "n": int(n),
-                        "beta": float(beta),
-                        "max_steps": int(max_steps),
-                        "precision": float(precision),
-                        "alpha": float(alpha),
-                        "chunk_size": int(chunk_size),
-                        "max_replicas": int(max_replicas),
-                        "seed": describe(cell_seed),
-                    }
-                    # tail knobs join the spec only when set, so pre-tail
-                    # cells keep their content addresses (cache stability)
-                    if q is not None:
-                        spec["q"] = float(q)
-                    if precision_quantile is not None:
-                        spec["precision_quantile"] = float(precision_quantile)
-                    cached = _cached_record(store, spec)
-                    if cached is not None:
-                        if tracer.enabled:
-                            tracer.count("store.hit")
-                            tracer.event(
-                                "sweep.cell",
-                                sweep="hitting_time_size_sweep",
-                                cell=int(n),
-                                provenance="store",
-                            )
-                        records.append(cached)
-                        continue
-                if store is not None and tracer.enabled:
-                    tracer.count("store.miss")
-            tic = perf_counter() if tracer.enabled else 0.0
-            game = game_factory(int(n))
-            if dynamics_factory is None:
-                from ..core.logit import LogitDynamics
+            # spawned unconditionally — cache hits must not shift the
+            # seeds of the cells that still need computing
+            cell_seed = root.spawn(1)[0] if precision is not None else None
+            # store= implies precision=: only adaptive cells are cached
+            spec = None if store is None else {
+                "sweep": "hitting_time_size_sweep",
+                "factories": _described_factories(
+                    store_tag,
+                    game_factory=game_factory,
+                    start_factory=start_factory,
+                    target_factory=target_factory,
+                    dynamics_factory=dynamics_factory,
+                ),
+                "n": int(n),
+                "beta": float(beta),
+                "max_steps": int(max_steps),
+                "precision": float(precision),
+                "alpha": float(alpha),
+                "chunk_size": int(chunk_size),
+                "max_replicas": int(max_replicas),
+                "seed": describe(cell_seed),
+                # tail knobs join the spec only when set, so pre-tail
+                # cells keep their content addresses (cache stability)
+                **({} if q is None else {"q": float(q)}),
+                **(
+                    {}
+                    if precision_quantile is None
+                    else {"precision_quantile": float(precision_quantile)}
+                ),
+            }
+            yield _cell_name(store_tag, n), spec, partial(measure, n, cell_seed)
 
-                dynamics = LogitDynamics(game, float(beta))
-            else:
-                dynamics = dynamics_factory(game, float(beta))
-            if precision is not None:
-                from ..core.metastability import empirical_hitting_times
+    def measure(n, cell_seed, executor):
+        game = game_factory(n)
+        if dynamics_factory is None:
+            from ..core.logit import LogitDynamics
 
-                estimate = empirical_hitting_times(
-                    game,
-                    float(beta),
-                    np.asarray(start_factory(game)),
-                    target_factory(game),
-                    max_steps=max_steps,
-                    dynamics=dynamics,
-                    precision=precision,
-                    alpha=alpha,
-                    chunk_size=chunk_size,
-                    max_replicas=max_replicas,
-                    seed=cell_seed,
-                    keep_samples=True,
-                    executor=executor,
-                    q=q,
-                    precision_quantile=precision_quantile,
-                    tracer=tracer,
-                )
-                times = estimate.samples
-                extras = {
-                    "mean_hitting_time": float(estimate.estimate),
-                    "hitting_lower": float(estimate.lower),
-                    "hitting_upper": float(estimate.upper),
-                    "num_replicas_used": int(estimate.n),
-                    "stopped_early": bool(estimate.stopped_early),
-                    "truncated_fraction": float(
-                        np.count_nonzero(times >= max_steps) / times.size
-                    ),
-                }
-                if estimate.quantile is not None:
-                    extras["quantile_q"] = float(estimate.quantile.q)
-                    extras["quantile_estimate"] = float(estimate.quantile.estimate)
-                    extras["quantile_lower"] = float(estimate.quantile.lower)
-                    extras["quantile_upper"] = float(estimate.quantile.upper)
-                record = SweepRecord(
-                    parameter=float(n),
-                    mixing_time=float("nan"),
-                    relaxation_time=float("nan"),
-                    extra=extras,
-                )
-                records.append(
-                    _store_record(store, spec, record) if store is not None else record
-                )
-                if tracer.enabled:
-                    tracer.event(
-                        "sweep.cell",
-                        sweep="hitting_time_size_sweep",
-                        cell=int(n),
-                        provenance="computed",
-                        seconds=perf_counter() - tic,
-                    )
-                continue
+            dynamics = LogitDynamics(game, float(beta))
+        else:
+            dynamics = dynamics_factory(game, float(beta))
+        if precision is None:
             sim = dynamics.ensemble(
                 num_replicas,
                 start=np.asarray(start_factory(game)),
@@ -964,38 +833,64 @@ def hitting_time_size_sweep(
             )
             times = sim.hitting_times(target_factory(game), max_steps=max_steps)
             reached = times[times >= 0]
-            records.append(
-                SweepRecord(
-                    parameter=float(n),
-                    mixing_time=float("nan"),
-                    relaxation_time=float("nan"),
-                    extra={
-                        "mean_hitting_time": (
-                            float(reached.mean()) if reached.size else float("nan")
-                        ),
-                        "median_hitting_time": (
-                            float(np.median(reached)) if reached.size else float("nan")
-                        ),
-                        "reached_fraction": float(reached.size / times.size),
-                    },
-                )
+            extras = {
+                "mean_hitting_time": (
+                    float(reached.mean()) if reached.size else float("nan")
+                ),
+                "median_hitting_time": (
+                    float(np.median(reached)) if reached.size else float("nan")
+                ),
+                "reached_fraction": float(reached.size / times.size),
+            }
+        else:
+            from ..core.metastability import empirical_hitting_times
+
+            estimate = empirical_hitting_times(
+                game,
+                float(beta),
+                np.asarray(start_factory(game)),
+                target_factory(game),
+                max_steps=max_steps,
+                dynamics=dynamics,
+                precision=precision,
+                alpha=alpha,
+                chunk_size=chunk_size,
+                max_replicas=max_replicas,
+                seed=cell_seed,
+                keep_samples=True,
+                executor=executor,
+                q=q,
+                precision_quantile=precision_quantile,
+                tracer=tracer,
             )
-            if tracer.enabled:
-                tracer.event(
-                    "sweep.cell",
-                    sweep="hitting_time_size_sweep",
-                    cell=int(n),
-                    provenance="computed",
-                    seconds=perf_counter() - tic,
-                )
-        if tracer.enabled:
-            tracer.event(
-                "sweep.end", sweep="hitting_time_size_sweep", cells=len(records)
-            )
-    finally:
-        if owned_executor:
-            executor.close()
-    return SweepResult(parameter_name="n", records=tuple(records))
+            times = estimate.samples
+            extras = {
+                "mean_hitting_time": float(estimate.estimate),
+                "hitting_lower": float(estimate.lower),
+                "hitting_upper": float(estimate.upper),
+                "num_replicas_used": int(estimate.n),
+                "stopped_early": bool(estimate.stopped_early),
+                "truncated_fraction": float(
+                    np.count_nonzero(times >= max_steps) / times.size
+                ),
+            }
+            if estimate.quantile is not None:
+                extras["quantile_q"] = float(estimate.quantile.q)
+                extras["quantile_estimate"] = float(estimate.quantile.estimate)
+                extras["quantile_lower"] = float(estimate.quantile.lower)
+                extras["quantile_upper"] = float(estimate.quantile.upper)
+        return {
+            "parameter": float(n),
+            "mixing_time": float("nan"),
+            "relaxation_time": float("nan"),
+            "extra": extras,
+        }
+
+    records = run_cells(
+        "sweep", cells(), seed=seed, executor=executor, store=store,
+        tracer=tracer, sweep="hitting_time_size_sweep", cells=len(sizes),
+    )
+    return SweepResult(parameter_name="n", records=tuple(map(_as_record, records)))
 
 
 def exponential_growth_rate(parameters: np.ndarray, values: np.ndarray) -> float:

@@ -35,7 +35,7 @@ from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.chain import MarkovChain
 from ..markov.coupling import CouplingResult
-from .stationary import gibbs_measure
+from .stationary import check_beta, gibbs_measure
 
 __all__ = [
     "EngineBackedDynamics",
@@ -51,8 +51,7 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     ``utilities`` may be 1-D (one profile) or 2-D with one row per profile;
     the softmax is taken along the last axis.
     """
-    if not beta >= 0:
-        raise ValueError("beta must be non-negative")
+    check_beta(beta)
     u = np.asarray(utilities, dtype=float)
     logits = beta * u
     # max-shifted softmax: overflow-safe and much cheaper than scipy's
@@ -256,12 +255,11 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         :class:`~repro.games.PotentialGame` the Gibbs measure is used as the
         (exact) stationary distribution of the chain.
     beta:
-        Inverse noise / rationality parameter, ``beta >= 0``.
+        Inverse noise / rationality parameter, finite and ``>= 0``.
     """
 
     def __init__(self, game: Game, beta: float):
-        if not beta >= 0:
-            raise ValueError("beta must be non-negative")
+        check_beta(beta)
         self.game = game
         self.beta = float(beta)
         self._matrix: np.ndarray | None = None

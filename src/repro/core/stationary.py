@@ -22,11 +22,23 @@ __all__ = [
 ]
 
 
+def check_beta(beta: float) -> None:
+    """Reject a ``beta`` that is negative, NaN or infinite.
+
+    The logit softmax at ``beta = inf`` is ``0 * inf = NaN``; the zero-noise
+    limit is its own chain, :class:`~repro.core.variants.BestResponseDynamics`.
+    """
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(
+            f"beta must be finite and non-negative, got {beta!r}; for the "
+            f"beta -> infinity limit use BestResponseDynamics"
+        )
+
+
 def gibbs_measure(potential: np.ndarray, beta: float) -> np.ndarray:
     """The Gibbs measure ``pi(x) ∝ exp(-beta Phi(x))``, computed stably."""
     phi = np.asarray(potential, dtype=float)
-    if not beta >= 0:
-        raise ValueError("beta must be non-negative")
+    check_beta(beta)
     log_weights = -beta * phi
     log_z = logsumexp(log_weights)
     return np.exp(log_weights - log_z)
@@ -35,8 +47,7 @@ def gibbs_measure(potential: np.ndarray, beta: float) -> np.ndarray:
 def log_partition_function(potential: np.ndarray, beta: float) -> float:
     """``log Z = log sum_x exp(-beta Phi(x))``."""
     phi = np.asarray(potential, dtype=float)
-    if not beta >= 0:
-        raise ValueError("beta must be non-negative")
+    check_beta(beta)
     return float(logsumexp(-beta * phi))
 
 

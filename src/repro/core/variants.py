@@ -55,6 +55,7 @@ from .logit import (
     LogitRule,
     logit_update_distribution,
 )
+from .stationary import check_beta
 
 __all__ = [
     "EngineBackedDynamics",
@@ -78,8 +79,7 @@ class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float):
-        if not beta >= 0:
-            raise ValueError("beta must be non-negative")
+        check_beta(beta)
         self.game = game
         self.beta = float(beta)
         self._matrix: np.ndarray | None = None
@@ -187,8 +187,7 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float, p: float = 1.0):
-        if not beta >= 0:
-            raise ValueError("beta must be non-negative")
+        check_beta(beta)
         p = float(p)
         if not 0.0 < p <= 1.0:
             raise ValueError("the update probability p must lie in (0, 1]")
@@ -607,8 +606,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float):
-        if not beta >= 0:
-            raise ValueError("beta must be non-negative")
+        check_beta(beta)
         self.game = game
         self.beta = float(beta)
 

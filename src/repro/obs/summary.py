@@ -5,8 +5,8 @@ This module backs ``tools/trace_summary.py``.  It parses trace files
 exceptions — then reconstructs, per run: the manifest, final counter
 totals, timer aggregates, throughput (replica-steps per engine-run
 second), shard balance (per-shard wall-clock and load-imbalance ratios),
-store hit rate, and the CS-width-vs-n convergence curve of every traced
-consumer.
+store hit rate, per-cell sweep seconds, and the CS-width-vs-n convergence
+curve of every traced consumer.
 
 Structural lint (``exit 1`` from the CLI when any fire):
 
@@ -46,7 +46,7 @@ class RunSummary:
     shard_seconds: dict = field(default_factory=dict)
     # per-dispatch imbalance ratios (max/mean shard seconds)
     imbalance: list = field(default_factory=list)
-    # (cell, provenance) lifecycle tags from sweep.cell events
+    # (cell, provenance, seconds) lifecycle tags from sweep.cell events
     cells: list = field(default_factory=list)
     events: int = 0
 
@@ -187,7 +187,11 @@ def summarize_runs(events) -> dict:
                     summary.imbalance.append(float(ratio))
             elif name == "sweep.cell":
                 summary.cells.append(
-                    (payload.get("cell"), payload.get("provenance"))
+                    (
+                        payload.get("cell"),
+                        payload.get("provenance"),
+                        payload.get("seconds"),
+                    )
                 )
     return runs
 
@@ -250,8 +254,17 @@ def render_run_summary(summary: RunSummary) -> str:
                 f"worst={worst:.2f} mean={mean:.2f}"
             )
     if summary.cells:
-        rows = [[cell, provenance or "fresh"] for cell, provenance in summary.cells]
-        lines.append(render_table(["cell", "provenance"], rows))
+        rows = [
+            [
+                cell,
+                provenance or "fresh",
+                "-" if seconds is None else _fmt_seconds(seconds),
+            ]
+            for cell, provenance, seconds in summary.cells
+        ]
+        total = sum(seconds or 0.0 for _, _, seconds in summary.cells)
+        rows.append(["total", f"{len(summary.cells)} cells", _fmt_seconds(total)])
+        lines.append(render_table(["cell", "provenance", "seconds"], rows))
     for consumer, curve in sorted(summary.convergence.items()):
         head = curve[0]
         tail = curve[-1]

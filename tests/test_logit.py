@@ -46,6 +46,9 @@ class TestUpdateRule:
         # nan < 0 is False: a sign-only guard would return all-NaN rows
         with pytest.raises(ValueError, match="non-negative"):
             logit_update_distribution(np.zeros(2), beta=float("nan"))
+        # inf * 0 is NaN too: the beta -> inf limit is best response
+        with pytest.raises(ValueError, match="BestResponseDynamics"):
+            logit_update_distribution(np.zeros(2), beta=np.inf)
 
     def test_equation2_closed_form(self, ring5_ising_game):
         """sigma_i(y | x) = exp(beta u_i(y, x_-i)) / sum_z exp(beta u_i(z, x_-i))."""
@@ -114,6 +117,9 @@ class TestTransitionMatrix:
         # distribution was all-NaN, without any error
         with pytest.raises(ValueError, match="non-negative"):
             LogitDynamics(ring5_ising_game, float("nan"))
+        # an infinite beta used to emit NaN RuntimeWarnings mid-simulation
+        with pytest.raises(ValueError, match="finite"):
+            LogitDynamics(ring5_ising_game, np.inf)
 
 
 class TestChainProperties:

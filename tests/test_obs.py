@@ -274,16 +274,30 @@ class TestSummary:
         tracer.timing("engine.run", 0.1)
         tracer.event("shard.complete", shard=0, seconds=0.05)
         tracer.event("shard.chunk", shards=2, imbalance=1.25)
-        tracer.event("sweep.cell", cell="fam", provenance="store")
+        tracer.event("sweep.cell", cell="g::fam", provenance="store", seconds=0.25)
+        tracer.event("sweep.cell", cell="g::hot", provenance="computed", seconds=1.5)
         tracer.event(
             "driver.convergence", consumer="EmpiricalBernsteinCS[0]",
             n=64, lower=0.0, upper=2.0, width=2.0,
         )
-        text = render_run_summary(summarize_runs(tracer.events)["abc"])
+        summary = summarize_runs(tracer.events)["abc"]
+        assert summary.cells == [
+            ("g::fam", "store", 0.25),
+            ("g::hot", "computed", 1.5),
+        ]
+        text = render_run_summary(summary)
         assert "replica-steps=1000" in text
         assert "throughput=" in text
         assert "load imbalance" in text
-        assert "provenance" in text
+        # the per-cell table: one seconds column and a total row
+        table = text[text.index("provenance"):].splitlines()
+        assert "seconds" in table[0]
+        assert any(
+            line.startswith("g::fam") and "store" in line and "0.250s" in line
+            for line in table
+        )
+        total = next(line for line in table if line.startswith("total"))
+        assert "2 cells" in total and "1.750s" in total
         assert "convergence EmpiricalBernsteinCS[0]" in text
 
 

@@ -267,6 +267,28 @@ class TestTracing:
         ]
         assert "sweep.begin" in names
 
+    def test_sweep_cells_carry_full_names_and_seconds(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with Tracer(JsonlTraceSink(path)) as tracer:
+            small_matrix(tracer=tracer, store=tmp_path / "store")
+            small_matrix(tracer=tracer, store=tmp_path / "store")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        cells = [
+            r["payload"]
+            for r in records
+            if r["kind"] == "event" and r["name"] == "sweep.cell"
+        ]
+        names = [
+            f"{family}::{topology}::{dynamics}"
+            for family in ("opinion", "ising")
+            for topology in ("ring4", "path4")
+            for dynamics in ("logit", "parallel")
+        ]
+        assert [c["cell"] for c in cells] == names + names
+        # the warm run's store hits are timed too
+        assert [c["provenance"] for c in cells] == ["computed"] * 8 + ["store"] * 8
+        assert all(c["seconds"] >= 0 for c in cells)
+
     def test_tracing_does_not_change_the_samples(self, tmp_path):
         traced_path = tmp_path / "trace.jsonl"
         with Tracer(JsonlTraceSink(traced_path)) as tracer:

@@ -26,6 +26,10 @@ class TestGibbsMeasure:
             gibbs_measure(phi, float("nan"))
         with pytest.raises(ValueError, match="non-negative"):
             log_partition_function(phi, float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            gibbs_measure(phi, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            log_partition_function(phi, np.inf)
 
     def test_normalisation(self):
         rng = np.random.default_rng(0)

@@ -12,7 +12,12 @@ from repro.analysis.sweep import (
     exponential_growth_rate,
     size_sweep,
 )
-from repro.games import CoordinationParams, GraphicalCoordinationGame, TwoWellGame
+from repro.games import (
+    CoordinationParams,
+    GraphicalCoordinationGame,
+    IsingGame,
+    TwoWellGame,
+)
 
 import networkx as nx
 
@@ -180,3 +185,167 @@ class TestDynamicsFamilySweep:
         game = TwoWellGame(num_players=3, barrier=1.0)
         with pytest.raises(ValueError, match="at least one"):
             dynamics_family_sweep(game, {})
+
+
+# ---------------------------------------------------------------------------
+# pinned cell identity: one tiny seeded, stored cell per sweep
+# ---------------------------------------------------------------------------
+
+
+def _pinned_ring(n):
+    return IsingGame(nx.cycle_graph(int(n)), coupling=1.0)
+
+
+def _pinned_start(game):
+    return np.zeros(game.num_players, dtype=np.int64)
+
+
+def _pinned_target(game):
+    return lambda profiles: game.magnetization_of_profiles(profiles) >= 0.5
+
+
+def _pinned_beta_cell(store):
+    from repro.analysis.sweep import ensemble_beta_sweep
+
+    return ensemble_beta_sweep(
+        _pinned_ring(5), [0.5], num_replicas=32, max_time=60, seed=11, store=store
+    ).records
+
+
+def _pinned_family_cell(store):
+    from repro.core.logit import LogitDynamics
+
+    return dynamics_family_sweep(
+        _pinned_ring(5),
+        {"logit": lambda g: LogitDynamics(g, 0.5)},
+        num_replicas=32,
+        max_time=60,
+        escape_states=[0],
+        max_escape_steps=100,
+        tail_q=0.5,
+        seed=12,
+        store=store,
+        store_tag="pin",
+    ).records
+
+
+def _pinned_hitting_cell(store):
+    from repro.analysis.sweep import hitting_time_size_sweep
+
+    return hitting_time_size_sweep(
+        _pinned_ring,
+        [5],
+        beta=0.7,
+        start_factory=_pinned_start,
+        target_factory=_pinned_target,
+        precision=0.5,
+        seed=13,
+        max_steps=100,
+        chunk_size=16,
+        max_replicas=32,
+        store=store,
+        store_tag="pin-hitting",
+    ).records
+
+
+def _pinned_matrix_cell(store):
+    from repro.analysis.scenario_matrix import scenario_matrix
+    from repro.core.logit import LogitDynamics
+    from repro.graphs import ring_graph
+
+    result = scenario_matrix(
+        {"ising": lambda g: IsingGame(g, coupling=0.5)},
+        {"ring4": ring_graph(4)},
+        {"logit": lambda g: LogitDynamics(g, 1.0)},
+        num_replicas=32,
+        max_time=60,
+        seed=14,
+        store=store,
+    )
+    return result.cells[0].sweep.records
+
+
+# (run, store key, parameter, mixing_time, extra without provenance)
+PINNED_CELLS = {
+    "ensemble_beta_sweep": (
+        _pinned_beta_cell,
+        "e247aca39e9511c568f9bd912c012fba8743f685777dfdb15f7a5a5b0051678d",
+        0.5,
+        50.0,
+        {"tv_at_estimate": 0.24445241695855274, "capped": False, "converged": True},
+    ),
+    "dynamics_family_sweep": (
+        _pinned_family_cell,
+        "52b03de8ac0a9d3d9768300cb94c5d366e973d0ab28388c1697e485ab715a879",
+        0.0,
+        -1.0,
+        {
+            "dynamics": "logit",
+            "tv_at_estimate": 0.25159900136007624,
+            "capped": True,
+            "converged": False,
+            "mean_welfare": 5.0,
+            "welfare_lower": 2.237106044080241,
+            "welfare_upper": 7.762893955919759,
+            "escape_fraction": 1.0,
+            "mean_escape_time": 7.46875,
+            "escape_quantile_q": 0.5,
+            "escape_quantile": 5.088062622309197,
+            "escape_quantile_lower": 1.9569471624266144,
+            "escape_quantile_upper": 18.003913894324853,
+        },
+    ),
+    "hitting_time_size_sweep": (
+        _pinned_hitting_cell,
+        "c55f65acbc32745499bf355b5297f50c78ac31b98023d9fac02c47db7787bd88",
+        5.0,
+        float("nan"),
+        {
+            "mean_hitting_time": 79.3125,
+            "hitting_lower": 53.16976513551393,
+            "hitting_upper": 100.0,
+            "num_replicas_used": 32,
+            "stopped_early": False,
+            "truncated_fraction": 0.46875,
+        },
+    ),
+    "scenario_matrix": (
+        _pinned_matrix_cell,
+        "b0a13c5e3a6c1eda7816fe741463da2986fad62a5c4077365f482e1180578281",
+        0.0,
+        24.0,
+        {
+            "dynamics": "logit",
+            "tv_at_estimate": 0.18720578145944053,
+            "capped": False,
+            "converged": True,
+            "mean_welfare": 2.5,
+            "welfare_lower": 1.1944473596637935,
+            "welfare_upper": 3.8055526403362068,
+        },
+    ),
+}
+
+
+class TestCellIdentityPinned:
+    """Hard-coded store keys and record values of one cell per sweep.
+
+    A changed spec or seed derivation re-keys every cell already in a
+    user's store, and a changed sample stream silently changes results;
+    either must fail here, loudly.  Each cell is also re-run warm to pin
+    the load path: the same values come back tagged ``store``.
+    """
+
+    @pytest.mark.parametrize("sweep", sorted(PINNED_CELLS))
+    def test_key_and_record_are_pinned(self, sweep, tmp_path):
+        from repro.parallel import ExperimentStore
+
+        run, key, parameter, mixing_time, extra = PINNED_CELLS[sweep]
+        store = ExperimentStore(tmp_path)
+        for provenance in ("computed", "store"):
+            (record,) = run(store)
+            assert store.keys() == [key]
+            assert record.parameter == parameter
+            np.testing.assert_equal(record.mixing_time, mixing_time)
+            assert np.isnan(record.relaxation_time)
+            assert record.extra == {**extra, "provenance": provenance}

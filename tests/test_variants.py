@@ -97,6 +97,8 @@ class TestParallelLogitDynamics:
         ):
             with pytest.raises(ValueError, match="non-negative"):
                 cls(ring5_ising_game, float("nan"))
+            with pytest.raises(ValueError, match="finite"):
+                cls(ring5_ising_game, np.inf)
 
 
 class TestBestResponseDynamics:

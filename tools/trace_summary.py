@@ -9,9 +9,9 @@ For every run id found in the given trace files this prints the run
 manifest (git revision, seed, platform), headline throughput
 (replica-steps and replica-steps/s), counter and timer tables, shard
 wall-clock balance with the load-imbalance ratio, store hit rate and
-byte traffic, sweep cell provenance, and CS-width-vs-n convergence
-curves — everything :func:`repro.obs.summarize_runs` can reconstruct
-from the events alone.
+byte traffic, sweep cell provenance and seconds (with a total row), and
+CS-width-vs-n convergence curves — everything
+:func:`repro.obs.summarize_runs` can reconstruct from the events alone.
 
 The tool doubles as a structural lint (the CI docs job runs it over the
 benchmark traces): it exits nonzero when a trace is structurally broken
