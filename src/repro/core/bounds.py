@@ -22,6 +22,7 @@ import numpy as np
 
 from ..games.potential import PotentialGame
 from ..graphs.cutwidth import cutwidth_exact, cutwidth_known
+from .stationary import check_beta
 
 __all__ = [
     "StructuralQuantities",
@@ -451,8 +452,7 @@ def theorem1207_stationary_product(game, beta: float) -> np.ndarray:
     over ``game.space``.  Holds only at ``p = 1``; the ``p < 1``
     probabilistic chain has neither Gibbs nor product-form stationarity.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    check_beta(beta)
     psi = beta * lemma1207_doubled_potential(game)
     mx = psi.max(axis=1, keepdims=True)
     log_pi = np.log(np.exp(psi - mx).sum(axis=1)) + mx[:, 0]
@@ -692,8 +692,8 @@ def _check_common(num_players: int, max_strategies: int, beta: float) -> None:
         raise ValueError("need at least one player")
     if max_strategies < 1:
         raise ValueError("need at least one strategy")
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    if not beta >= 0:
+        raise ValueError(f"beta must be non-negative, got {beta!r}")
 
 
 def _check_epsilon(epsilon: float) -> None:

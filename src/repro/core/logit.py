@@ -141,8 +141,9 @@ class EngineBackedDynamics:
     Subclasses provide :meth:`kernel` (their update-rule kernel) and the
     rule contract it needs (``update_distribution_many``; for gather-capable
     kernels also ``player_update_matrix``); this mixin supplies the batched
-    Monte-Carlo entry points on top — one implementation shared by
-    :class:`LogitDynamics` and every :mod:`~repro.core.variants` class.
+    Monte-Carlo entry points on top, plus the dense one-mover matrix of the
+    exact machinery — one implementation shared by :class:`LogitDynamics`
+    and every :mod:`~repro.core.variants` class.
     """
 
     game: Game
@@ -154,6 +155,19 @@ class EngineBackedDynamics:
     def kernel(self) -> UpdateKernel:
         """The update-rule kernel advancing this dynamics on the engine."""
         raise NotImplementedError
+
+    def _mover_matrix(self, players: Sequence[int]) -> np.ndarray:
+        """Dense matrix of one update by a mover drawn uniformly from ``players``.
+
+        A deviation to ``x`` itself lands on the diagonal: the mover re-picks.
+        """
+        space = self.game.space
+        P = np.zeros((space.size, space.size), dtype=float)
+        rows = np.arange(space.size, dtype=np.int64)[:, None]
+        for player in players:
+            probs = self.player_update_matrix(player) / len(players)
+            np.add.at(P, (rows, space.deviation_matrix(player)), probs)
+        return P
 
     def __getstate__(self) -> dict:
         # Pickles ship dynamics to shard workers, which only run the
@@ -285,20 +299,7 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
     def transition_matrix(self) -> np.ndarray:
         """Dense ``(|S|, |S|)`` transition matrix of Equation (3)."""
         if self._matrix is None:
-            space = self.game.space
-            n = space.num_players
-            size = space.size
-            P = np.zeros((size, size), dtype=float)
-            rows = np.arange(size, dtype=np.int64)
-            for player in range(n):
-                devs = space.deviation_matrix(player)  # (|S|, m_i)
-                probs = self.player_update_matrix(player) / n
-                # scatter-add: P[x, devs[x, s]] += probs[x, s]; when the
-                # deviation equals x itself the mass lands on the diagonal,
-                # which is exactly the "player re-picks her own strategy"
-                # term of Equation (3).
-                np.add.at(P, (rows[:, None], devs), probs)
-            self._matrix = P
+            self._matrix = self._mover_matrix(range(self.game.space.num_players))
         return self._matrix
 
     def sparse_transition_matrix(self):

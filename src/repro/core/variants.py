@@ -67,6 +67,25 @@ __all__ = [
 ]
 
 
+def _all_logit_matrix(dynamics, p: float = 1.0) -> np.ndarray:
+    """Dense ``P(x, y) = prod_i [p sigma_i(y_i | x) + (1-p) 1{y_i = x_i}]``.
+
+    Row ``x`` is the Kronecker product of the players' factor rows, folded in
+    player order with each new player as the more significant digit of ``y``
+    (``ProfileSpace``'s little-endian radix): the same products, bit for bit,
+    as one ``(|S|, |S|)`` gather per player.
+    """
+    space = dynamics.game.space
+    rows = np.arange(space.size)
+    P = np.ones((space.size, 1))
+    for player in range(space.num_players):
+        factor = p * dynamics.player_update_matrix(player)
+        if p < 1.0:
+            factor[rows, space.strategy_of(rows, player)] += 1.0 - p
+        P = (factor[:, :, None] * P[:, None, :]).reshape(space.size, -1)
+    return P
+
+
 class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
     """All players revise simultaneously, each with the logit rule.
 
@@ -100,18 +119,12 @@ class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
     # -- exact machinery (small games) -------------------------------------
 
     def transition_matrix(self) -> np.ndarray:
-        """Dense ``(|S|, |S|)`` transition matrix ``P(x, y) = prod_i sigma_i(y_i | x)``."""
+        """Dense ``(|S|, |S|)`` transition matrix ``P(x, y) = prod_i sigma_i(y_i | x)``.
+
+        Row ``x`` is the Kronecker product of the rows ``sigma_i(. | x)``.
+        """
         if self._matrix is None:
-            space = self.game.space
-            size = space.size
-            # P starts as all-ones and is multiplied by one factor per player.
-            P = np.ones((size, size), dtype=float)
-            target = space.all_profiles()  # (|S|, n): strategy of each player in y
-            for player in range(space.num_players):
-                probs = self.player_update_matrix(player)  # (|S|, m_i)
-                # factor[x, y] = sigma_player(y_player | x)
-                P *= probs[:, target[:, player]]
-            self._matrix = P
+            self._matrix = _all_logit_matrix(self)
         return self._matrix
 
     def markov_chain(self) -> MarkovChain:
@@ -212,21 +225,13 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     # -- exact machinery (small games) -------------------------------------
 
     def transition_matrix(self) -> np.ndarray:
-        """Dense ``P(x, y) = prod_i [p sigma_i(y_i | x) + (1-p) 1{y_i = x_i}]``."""
+        """Dense ``P(x, y) = prod_i [p sigma_i(y_i | x) + (1-p) 1{y_i = x_i}]``.
+
+        Row ``x`` is the Kronecker product of the rows ``p sigma_i(. | x)``,
+        each with ``1 - p`` added at ``x_i``.
+        """
         if self._matrix is None:
-            space = self.game.space
-            size = space.size
-            P = np.ones((size, size), dtype=float)
-            target = space.all_profiles()  # (|S|, n): strategy of each player
-            for player in range(space.num_players):
-                probs = self.player_update_matrix(player)  # (|S|, m_i)
-                # factor[x, y] = p sigma_player(y_player | x) + (1-p) 1{stay}
-                factor = self.p * probs[:, target[:, player]]
-                if self.p < 1.0:
-                    stay = np.equal.outer(target[:, player], target[:, player])
-                    factor[stay] += 1.0 - self.p
-                P *= factor
-            self._matrix = P
+            self._matrix = _all_logit_matrix(self, self.p)
         return self._matrix
 
     def markov_chain(self) -> MarkovChain:
@@ -363,16 +368,7 @@ class BestResponseDynamics(EngineBackedDynamics):
 
     def transition_matrix(self) -> np.ndarray:
         """Dense transition matrix of the (sequential) best-response chain."""
-        space = self.game.space
-        n = space.num_players
-        size = space.size
-        P = np.zeros((size, size), dtype=float)
-        rows = np.arange(size, dtype=np.int64)
-        for player in range(n):
-            devs = space.deviation_matrix(player)
-            probs = self.player_update_matrix(player)
-            np.add.at(P, (rows[:, None], devs), probs / n)
-        return P
+        return self._mover_matrix(range(self.game.space.num_players))
 
     def markov_chain(self) -> MarkovChain:
         """The best-response chain (may be non-ergodic; absorbing at strict PNE)."""
@@ -622,14 +618,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
 
     def player_step_matrix(self, player: int) -> np.ndarray:
         """Transition matrix of a single forced update of ``player``."""
-        space = self.game.space
-        size = space.size
-        devs = space.deviation_matrix(player)
-        probs = self.player_update_matrix(player)
-        P = np.zeros((size, size), dtype=float)
-        rows = np.arange(size, dtype=np.int64)
-        np.add.at(P, (rows[:, None], devs), probs)
-        return P
+        return self._mover_matrix([player])
 
     def round_transition_matrix(self) -> np.ndarray:
         """Transition matrix of one full round (all players once, in order)."""

@@ -6,8 +6,8 @@ This is the generic substrate beneath the logit dynamics: a
 * structural checks — irreducibility, aperiodicity, ergodicity,
   reversibility (detailed balance against a given or computed stationary
   distribution);
-* the stationary distribution, computed either from a supplied Gibbs
-  measure or from the leading left eigenvector;
+* the stationary distribution, supplied (e.g. a Gibbs measure) or solved
+  for by LU; a chain without a unique one raises ``LinAlgError``;
 * single-step and multi-step evolution of distributions, and sampling of
   trajectories;
 * the edge stationary distribution ``Q(x, y) = pi(x) P(x, y)`` used by the
@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .tv import is_distribution, normalize_distribution
 
@@ -37,24 +35,47 @@ def is_stochastic_matrix(P: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.allclose(P.sum(axis=1), 1.0, atol=tol))
 
 
-def stationary_distribution(P: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Stationary distribution of an ergodic chain via the leading eigenvector.
+def stationary_distribution(P: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The unique stationary distribution of a chain with one closed class.
 
-    Solves ``pi P = pi`` by computing the null space of ``(P^T - I)``
-    augmented with the normalisation constraint, which is robust for the
-    moderate state-space sizes this package targets.
+    LU-solves ``(P^T - I) pi = 0`` with its last row set to ``sum(pi) = 1``.
+    Raises ``LinAlgError`` if the chain has two or more closed classes (the
+    system is singular, or a state cannot reach the answer's heaviest state)
+    or if the answer has more than ``tol`` negative mass; nearly reducible
+    chains lose digits before that check fires.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
-    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
+    A = P.T.copy(order="F")  # column-major for LAPACK: a plain copy of P
+    A[np.arange(n), np.arange(n)] -= 1.0
+    A[-1] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    try:
+        pi = np.linalg.solve(A, b)
+        if not _all_reach(P, int(np.argmax(pi))):
+            raise np.linalg.LinAlgError("some state cannot reach the heaviest one")
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "the chain is not ergodic: it has two or more closed classes, so "
+            "its stationary distribution is not unique"
+        ) from exc
+    negative = -float(pi[pi < 0].sum())
+    if not negative <= tol:
+        raise np.linalg.LinAlgError(f"stationary solve returned negative mass {negative:.3g}")
     pi = np.clip(pi, 0.0, None)
-    total = float(pi.sum())
-    if total <= tol:
-        raise np.linalg.LinAlgError("failed to compute a stationary distribution")
-    return pi / total
+    return pi / pi.sum()
+
+
+def _all_reach(P: np.ndarray, target: int) -> bool:
+    """Whether every state reaches ``target`` along positive entries of ``P``."""
+    reached = np.zeros(P.shape[0], dtype=bool)
+    frontier = np.array([target])
+    while frontier.size:
+        reached[frontier] = True
+        rest = np.flatnonzero(~reached)
+        frontier = rest[(P[np.ix_(rest, frontier)] > 0).any(axis=1)]
+    return bool(reached.all())
 
 
 class MarkovChain:
@@ -117,9 +138,8 @@ class MarkovChain:
 
     def is_irreducible(self, tol: float = 0.0) -> bool:
         """Whether every state can reach every other state."""
-        adjacency = sp.csr_matrix(self._P > tol)
-        n_components, _ = csgraph.connected_components(adjacency, connection="strong")
-        return n_components == 1
+        adjacency = self._P > tol
+        return _all_reach(adjacency, 0) and _all_reach(adjacency.T, 0)
 
     def is_aperiodic(self, tol: float = 0.0) -> bool:
         """Whether the chain's period is 1.

@@ -29,6 +29,7 @@ from repro.core.bounds import (
     theorem55_clique_bounds,
     theorem56_ring_mixing_upper,
     theorem57_ring_mixing_lower,
+    theorem1207_mixing_upper,
 )
 from repro.games import Theorem35Game
 from repro.graphs.topologies import grid_graph, ring_graph
@@ -127,6 +128,28 @@ class TestSection3Formulas:
             theorem39_mixing_lower(1.0, 1.0, 1, 1)
         with pytest.raises(ValueError):
             theorem35_mixing_lower(4, 2, 1.0, 1.0, 0.0)
+
+
+BETA_BOUNDS = {
+    "lemma33": lambda beta: lemma33_relaxation_upper(10, 2, beta, 1.0),
+    "theorem34": lambda beta: theorem34_mixing_upper(10, 2, beta, 1.0),
+    "theorem34_log": lambda beta: theorem34_log_mixing_upper(10, 2, beta, 1.0),
+    "lemma37": lambda beta: lemma37_relaxation_upper(4, 2, beta, 1.0),
+    "theorem38": lambda beta: theorem38_mixing_upper(4, 2, beta, 1.0, 1.0),
+    "theorem1207": lambda beta: theorem1207_mixing_upper(16, 2, beta, 1.0),
+}
+
+
+class TestBetaValidation:
+    @pytest.mark.parametrize("bound", BETA_BOUNDS.values(), ids=BETA_BOUNDS.keys())
+    @pytest.mark.parametrize("beta", [math.nan, -1.0])
+    def test_nan_and_negative_beta_rejected(self, bound, beta):
+        with pytest.raises(ValueError, match="beta"):
+            bound(beta)
+
+    @pytest.mark.parametrize("bound", BETA_BOUNDS.values(), ids=BETA_BOUNDS.keys())
+    def test_infinite_beta_gives_an_infinite_bound(self, bound):
+        assert bound(math.inf) == math.inf
 
 
 class TestSection4Formulas:

@@ -19,6 +19,7 @@ Covers the :class:`~repro.engine.kernels.ProbabilisticKernel` family and
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import networkx as nx
@@ -45,7 +46,8 @@ from repro.engine.kernels import (
     SeededProbabilisticKernel,
     SeededSequentialKernel,
 )
-from repro.games import IsingGame, LocalInteractionGame
+from repro.games import FiniteOpinionGame, IsingGame, LocalInteractionGame, random_game
+from repro.graphs.topologies import ring_graph
 from repro.markov.tv import total_variation
 from repro.parallel import ShardedExecutor
 
@@ -163,6 +165,44 @@ def test_seeded_parallel_matches_seeded_concurrent_p1(ring6_game):
 
 
 # ---------------------------------------------------------------------------
+# the dense transition matrix
+# ---------------------------------------------------------------------------
+
+
+def gathered_transition_matrix(dynamics, p: float) -> np.ndarray:
+    """Reference build: one ``(|S|, |S|)`` gather per player, in player order.
+
+    ``P(x, y) = prod_i [p sigma_i(y_i | x) + (1 - p) 1{y_i = x_i}]``.
+    """
+    space = dynamics.game.space
+    target = space.all_profiles()
+    P = np.ones((space.size, space.size))
+    for player in range(space.num_players):
+        factor = p * dynamics.player_update_matrix(player)[:, target[:, player]]
+        if p < 1.0:
+            factor[np.equal.outer(target[:, player], target[:, player])] += 1.0 - p
+        P *= factor
+    return P
+
+
+@pytest.mark.parametrize(
+    "make, p",
+    [
+        (lambda game: ParallelLogitDynamics(game, 1.3), 1.0),
+        (lambda game: ConcurrentLogitDynamics(game, 1.3, p=1.0), 1.0),
+        (lambda game: ConcurrentLogitDynamics(game, 1.3, p=0.5), 0.5),
+    ],
+    ids=["parallel", "concurrent-p1", "concurrent-p0.5"],
+)
+def test_transition_matrix_equals_the_per_player_gathers(make, p):
+    # mixed radix (2, 3, 2): a wrong digit order cannot hide behind m_i = 2
+    dynamics = make(random_game((2, 3, 2), rng=np.random.default_rng(7)))
+    P = dynamics.transition_matrix()
+    assert np.array_equal(P, gathered_transition_matrix(dynamics, p))
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # the parallel trap (stationary law != Gibbs)
 # ---------------------------------------------------------------------------
 
@@ -227,6 +267,21 @@ class TestDoubledPotential:
         np.testing.assert_allclose(pi, conc.stationary_distribution(), atol=1e-9)
         flow = pi[:, None] * conc.transition_matrix()
         np.testing.assert_allclose(flow, flow.T, atol=1e-12)
+
+    def test_product_form_matches_the_dense_solve_at_1024_profiles(self):
+        game = FiniteOpinionGame(ring_graph(10), (np.arange(10) % 3) / 3.0 + 0.1)
+        par = ParallelLogitDynamics(game, 2.0)
+        pi = par.stationary_distribution()
+        assert pi.shape == (1024,)
+        np.testing.assert_allclose(
+            pi, theorem1207_stationary_product(game, 2.0), rtol=0, atol=1e-12
+        )
+        assert np.abs(pi @ par.transition_matrix() - pi).max() <= 1e-12
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_product_form_rejects_bad_beta(self, ring4_game, beta):
+        with pytest.raises(ValueError, match="beta"):
+            theorem1207_stationary_product(ring4_game, beta)
 
     def test_asymmetric_edge_payoffs_rejected(self):
         asymmetric = np.array([[0.0, 1.0], [0.0, 0.0]])

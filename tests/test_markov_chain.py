@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.variants import ParallelLogitDynamics
+from repro.games import IsingGame
+from repro.graphs.topologies import ring_graph
 from repro.markov.chain import MarkovChain, is_stochastic_matrix, stationary_distribution
 
 
@@ -69,6 +72,54 @@ class TestStationary:
         np.testing.assert_allclose(pi @ P, pi, atol=1e-10)
         assert pi.sum() == pytest.approx(1.0)
 
+    def test_transient_states_get_zero_mass(self):
+        # one closed class {0, 1}; state 2 leaks into it
+        P = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]])
+        np.testing.assert_allclose(stationary_distribution(P), [2 / 7, 5 / 7, 0.0], atol=1e-12)
+
+    def test_periodic_irreducible_chain_is_solved(self):
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(stationary_distribution(P), [0.5, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            np.eye(2),
+            np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]),
+            np.array(
+                [
+                    [0.5, 0.5, 0.0, 0.0],
+                    [0.25, 0.75, 0.0, 0.0],
+                    [0.0, 0.0, 0.5, 0.5],
+                    [0.0, 0.0, 0.75, 0.25],
+                ]
+            ),
+            # LU meets no exact zero pivot here and returns a stationary
+            # law of the class {1, 3} alone
+            np.array(
+                [
+                    [0.15, 0.0, 0.85, 0.0],
+                    [0.0, 0.3, 0.0, 0.7],
+                    [0.45, 0.0, 0.55, 0.0],
+                    [0.0, 0.6, 0.0, 0.4],
+                ]
+            ),
+        ],
+        ids=["identity", "two-absorbing-states", "two-closed-classes", "interleaved-classes"],
+    )
+    def test_non_unique_stationary_distribution_raises(self, P):
+        with pytest.raises(np.linalg.LinAlgError, match="not ergodic"):
+            stationary_distribution(P)
+        with pytest.raises(np.linalg.LinAlgError, match="not ergodic"):
+            MarkovChain(P).stationary
+
+    def test_negative_mass_solution_raises(self):
+        # the all-logit Ising ring at beta = 12 is ergodic but numerically
+        # reducible: the dense solve returns heavy negative mass
+        P = ParallelLogitDynamics(IsingGame(ring_graph(8)), 12.0).transition_matrix()
+        with pytest.raises(np.linalg.LinAlgError, match="negative mass"):
+            stationary_distribution(P)
+
 
 class TestStructure:
     def test_irreducible_chain(self):
@@ -78,6 +129,11 @@ class TestStructure:
         P = np.array([[1.0, 0.0], [0.0, 1.0]])
         chain = MarkovChain(P)
         assert not chain.is_irreducible()
+
+    def test_one_way_reachability_is_not_irreducible(self):
+        # 1 reaches 0 but 0 never leaves: both directions must be checked
+        assert not MarkovChain(np.array([[1.0, 0.0], [0.5, 0.5]])).is_irreducible()
+        assert not MarkovChain(np.array([[0.5, 0.5], [0.0, 1.0]])).is_irreducible()
 
     def test_aperiodic_with_self_loops(self):
         assert random_walk_cycle(5, lazy=0.5).is_aperiodic()
