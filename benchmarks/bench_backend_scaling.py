@@ -131,7 +131,7 @@ def measure_backend_scaling() -> tuple[list[list[object]], list[dict], dict[str,
             sim = dynamics.ensemble(
                 REPLICAS,
                 start=start,
-                rng=np.random.default_rng(0),
+                seed=0,
                 state="matrix",
                 tracer=tracer,
             )
@@ -143,7 +143,7 @@ def measure_backend_scaling() -> tuple[list[list[object]], list[dict], dict[str,
                 jit = dynamics.ensemble(
                     REPLICAS,
                     start=start,
-                    rng=np.random.default_rng(0),
+                    seed=0,
                     state="matrix",
                     backend="numba",
                     tracer=tracer,
@@ -183,20 +183,20 @@ def test_backend_fixed_seed_equivalence_before_timing():
     game = IsingGame(nx.cycle_graph(64), coupling=1.0)
     dynamics = LogitDynamics(game, BETA)
     a = dynamics.ensemble(
-        16, rng=np.random.default_rng(42), state="matrix", backend="numpy"
+        16, seed=42, state="matrix", backend="numpy"
     )
     a.run(500)
     if not numba_available():
         # fallback: backend="numba" must resolve to the same numpy engine
         b = dynamics.ensemble(
-            16, rng=np.random.default_rng(42), state="matrix", backend="numba"
+            16, seed=42, state="matrix", backend="numba"
         )
         assert b.backend.name == "numpy"
         b.run(500)
         np.testing.assert_array_equal(a.profiles, b.profiles)
         return
     b = dynamics.ensemble(
-        16, rng=np.random.default_rng(42), state="matrix", backend="numba"
+        16, seed=42, state="matrix", backend="numba"
     )
     assert b.backend.name == "numba"
     b.run(500)

@@ -104,7 +104,7 @@ def _tv(p: np.ndarray, q: np.ndarray) -> float:
 def _fresh_ensemble(dynamics, game: IsingGame, seed: int):
     start = np.zeros(game.space.num_players, dtype=np.int64)
     return dynamics.ensemble(
-        REPLICAS, start=start, rng=np.random.default_rng(seed), state="matrix"
+        REPLICAS, start=start, seed=seed, state="matrix"
     )
 
 
@@ -196,14 +196,14 @@ def test_concurrent_fixed_seed_equivalence_before_timing():
     game = IsingGame(nx.cycle_graph(64), coupling=1.0)
     dynamics = ConcurrentLogitDynamics(game, BETA, p=P)
     a = dynamics.ensemble(
-        16, rng=np.random.default_rng(42), state="matrix", backend="numpy"
+        16, seed=42, state="matrix", backend="numpy"
     )
     a.run(300)
     with warnings.catch_warnings():
         # the fallback warning is under test elsewhere; here it is noise
         warnings.simplefilter("ignore", RuntimeWarning)
         b = dynamics.ensemble(
-            16, rng=np.random.default_rng(42), state="matrix", backend="numba"
+            16, seed=42, state="matrix", backend="numba"
         )
     assert b.backend.name == ("numba" if numba_available() else "numpy")
     b.run(300)

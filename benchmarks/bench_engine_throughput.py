@@ -9,6 +9,10 @@ scalar loops.  Asserts the batched engine delivers at least the required
 speedup per kernel.  Also re-checks the fixed-seed equivalence contracts so
 that the speed being measured is the speed of the *same* dynamics.
 
+E-ENG-K records the engine's serial replica-steps/s for each of the five
+update kernels (sequential, parallel, probabilistic, round-robin,
+annealed) on the same ring, every one drawing from per-replica streams.
+
 A second case family (E-ENG-L) measures the *matrix state* backend on
 local-interaction games far past the int64 profile-index ceiling: ring and
 torus Ising games at n in ENGINE_BENCH_LOCAL_SIZES (default 100 and 1000
@@ -35,7 +39,13 @@ from perf_record import record_bench_cases
 from repro.analysis import render_experiment
 from repro.core import LogitDynamics
 from repro.core.logit import logit_update_distribution
-from repro.core.variants import ParallelLogitDynamics, RoundRobinLogitDynamics
+from repro.core.variants import (
+    AnnealedLogitDynamics,
+    ConcurrentLogitDynamics,
+    ParallelLogitDynamics,
+    RoundRobinLogitDynamics,
+)
+from repro.engine.kernels import SEQUENTIAL_BLOCK_SIZE
 from repro.engine.sampling import sample_inverse_cdf
 from repro.games import IsingGame
 
@@ -72,24 +82,28 @@ def _scalar_local_loop(
     beta: float,
     start: np.ndarray,
     num_steps: int,
-    rng: np.random.Generator,
+    seed: int,
 ) -> np.ndarray:
     """Scalar matrix-free reference: one single-site logit update per step.
 
     Utilities come from the game's profile-row method on a 1-row batch —
-    the same numbers the engine uses — and the draw order (all players,
-    then all uniforms) matches the sequential kernel's bulk pre-draw, so a
-    single engine replica reproduces this loop bit-for-bit.
+    the same numbers the engine uses — and the draws follow the sequential
+    kernel's stream of replica 0 (``SeedSequence`` child 0 of ``seed``, in
+    blocks of a players block then a uniforms block), so a single engine
+    replica reproduces this loop bit-for-bit.
     """
     n = game.space.num_players
+    g = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    block = SEQUENTIAL_BLOCK_SIZE
     profile = np.asarray(start, dtype=np.int64).copy()
-    players = rng.integers(0, n, size=num_steps)
-    uniforms = rng.random(num_steps)
     for t in range(num_steps):
-        i = int(players[t])
+        if t % block == 0:
+            players = g.integers(0, n, size=block)
+            uniforms = g.random(block)
+        i = int(players[t % block])
         utilities = game.utility_deviations_profiles(i, profile[None, :])[0]
         probs = logit_update_distribution(utilities, beta)
-        profile[i] = sample_inverse_cdf(probs, float(uniforms[t]))
+        profile[i] = sample_inverse_cdf(probs, float(uniforms[t % block]))
     return profile
 
 
@@ -107,18 +121,17 @@ def measure_throughputs() -> tuple[list[list[object]], dict[str, float]]:
     game = IsingGame(nx.cycle_graph(N), coupling=1.0)
     dynamics = LogitDynamics(game, BETA)
     start = (0,) * N
-    rng = np.random.default_rng(0)
 
-    dynamics.simulate_loop(start, min(STEPS, 200), rng=rng)  # warmup
+    dynamics.simulate_loop(start, min(STEPS, 200), seed=0)  # warmup
     loop_steps = min(STEPS, 2000)  # the loop is the slow side; keep it bounded
-    loop_time = _best_of(lambda: dynamics.simulate_loop(start, loop_steps, rng=rng))
+    loop_time = _best_of(lambda: dynamics.simulate_loop(start, loop_steps, seed=0))
     rates = {"loop": loop_steps / loop_time}
 
     rows: list[list[object]] = [
         ["loop (reference)", 1, loop_steps, f"{rates['loop']:,.0f}", "1.0x"]
     ]
     for mode in ("matrix_free", "gather"):
-        sim = dynamics.ensemble(REPLICAS, start=start, rng=rng, mode=mode)
+        sim = dynamics.ensemble(REPLICAS, start=start, seed=0, mode=mode)
         sim.run(min(STEPS, 100))  # warmup (gather mode builds its caches here)
         engine_time = _best_of(lambda: sim.run(STEPS))
         rates[mode] = STEPS * REPLICAS / engine_time
@@ -138,7 +151,6 @@ def measure_variant_throughputs() -> tuple[list[list[object]], dict[str, float]]
     """Variant kernels vs. their scalar loops on the same ring game."""
     game = IsingGame(nx.cycle_graph(N), coupling=1.0)
     start = (0,) * N
-    rng = np.random.default_rng(0)
     rows: list[list[object]] = []
     speedups: dict[str, float] = {}
     for name, dynamics in (
@@ -146,10 +158,10 @@ def measure_variant_throughputs() -> tuple[list[list[object]], dict[str, float]]
         ("round_robin", RoundRobinLogitDynamics(game, BETA)),
     ):
         loop_steps = min(STEPS, 500)  # variant loops do n utility calls/step
-        dynamics.simulate_loop(start, min(loop_steps, 100), rng=rng)  # warmup
-        loop_time = _best_of(lambda: dynamics.simulate_loop(start, loop_steps, rng=rng))
+        dynamics.simulate_loop(start, min(loop_steps, 100), seed=0)  # warmup
+        loop_time = _best_of(lambda: dynamics.simulate_loop(start, loop_steps, seed=0))
         loop_rate = loop_steps / loop_time
-        sim = dynamics.ensemble(REPLICAS, start=start, rng=rng)
+        sim = dynamics.ensemble(REPLICAS, start=start, seed=0)
         sim.run(min(STEPS, 100))  # warmup (gather caches build here)
         engine_time = _best_of(lambda: sim.run(STEPS))
         engine_rate = STEPS * REPLICAS / engine_time
@@ -179,14 +191,13 @@ def measure_local_throughputs() -> tuple[list[list[object]], dict[str, float]]:
         dynamics = LogitDynamics(game, BETA)
         n = game.space.num_players
         start = np.zeros(n, dtype=np.int64)
-        rng = np.random.default_rng(0)
         loop_steps = min(STEPS, 500)
-        _scalar_local_loop(game, BETA, start, min(loop_steps, 100), rng)  # warmup
+        _scalar_local_loop(game, BETA, start, min(loop_steps, 100), 0)  # warmup
         loop_time = _best_of(
-            lambda: _scalar_local_loop(game, BETA, start, loop_steps, rng)
+            lambda: _scalar_local_loop(game, BETA, start, loop_steps, 0)
         )
         loop_rate = loop_steps / loop_time
-        sim = dynamics.ensemble(REPLICAS, start=start, rng=rng)
+        sim = dynamics.ensemble(REPLICAS, start=start, seed=0)
         assert sim.state.kind == "matrix", "local cases must run index-free"
         sim.run(min(STEPS, 100))  # warmup
         engine_time = _best_of(lambda: sim.run(STEPS))
@@ -205,13 +216,34 @@ def measure_local_throughputs() -> tuple[list[list[object]], dict[str, float]]:
     return rows, speedups
 
 
+def measure_kernel_rates() -> tuple[list[list[object]], dict[str, float]]:
+    """Serial engine replica-steps/s of every update kernel on the ring."""
+    game = IsingGame(nx.cycle_graph(N), coupling=1.0)
+    start = (0,) * N
+    rows: list[list[object]] = []
+    rates: dict[str, float] = {}
+    for name, dynamics in (
+        ("sequential", LogitDynamics(game, BETA)),
+        ("parallel", ParallelLogitDynamics(game, BETA)),
+        ("probabilistic", ConcurrentLogitDynamics(game, BETA, p=0.5)),
+        ("round_robin", RoundRobinLogitDynamics(game, BETA)),
+        ("annealed", AnnealedLogitDynamics(game, lambda t: BETA)),
+    ):
+        sim = dynamics.ensemble(REPLICAS, start=start, seed=0)
+        sim.run(min(STEPS, 100))  # warmup (gather caches build here)
+        engine_time = _best_of(lambda: sim.run(STEPS))
+        rates[name] = STEPS * REPLICAS / engine_time
+        rows.append([name, sim.mode, REPLICAS, STEPS, f"{rates[name]:,.0f}"])
+    return rows, rates
+
+
 def test_engine_equivalence_before_timing():
     """The engine must be fast *and* exact: same seed, same trajectory."""
     game = IsingGame(nx.cycle_graph(N), coupling=1.0)
     dynamics = LogitDynamics(game, BETA)
     start = (0,) * N
-    loop = dynamics.simulate_loop(start, 300, rng=np.random.default_rng(123))
-    batched = dynamics.simulate(start, 300, rng=np.random.default_rng(123))
+    loop = dynamics.simulate_loop(start, 300, seed=123)
+    batched = dynamics.simulate(start, 300, seed=123)
     np.testing.assert_array_equal(loop, batched)
 
 
@@ -223,8 +255,8 @@ def test_variant_kernel_equivalence_before_timing():
         ParallelLogitDynamics(game, BETA),
         RoundRobinLogitDynamics(game, BETA),
     ):
-        loop = dynamics.simulate_loop(start, 200, rng=np.random.default_rng(7))
-        batched = dynamics.simulate(start, 200, rng=np.random.default_rng(7))
+        loop = dynamics.simulate_loop(start, 200, seed=7)
+        batched = dynamics.simulate(start, 200, seed=7)
         np.testing.assert_array_equal(loop, batched)
 
 
@@ -235,10 +267,37 @@ def test_local_game_equivalence_before_timing():
     game = IsingGame(nx.cycle_graph(n), coupling=1.0)
     dynamics = LogitDynamics(game, BETA)
     start = np.zeros(n, dtype=np.int64)
-    loop = _scalar_local_loop(game, BETA, start, 300, np.random.default_rng(11))
-    sim = dynamics.ensemble(1, start=start, rng=np.random.default_rng(11))
+    loop = _scalar_local_loop(game, BETA, start, 300, 11)
+    sim = dynamics.ensemble(1, start=start, seed=11)
     sim.run(300)
     np.testing.assert_array_equal(loop, sim.profiles[0])
+
+
+def test_kernel_rates(benchmark):
+    rows, rates = benchmark.pedantic(measure_kernel_rates, rounds=1, iterations=1)
+    record_bench_cases(
+        "engine_throughput",
+        [
+            {"case": f"E-ENG-K {name}", "n": N, "steps_per_sec": rate,
+             "speedup": None}
+            for name, rate in rates.items()
+        ],
+    )
+    print()
+    print(
+        render_experiment(
+            f"E-ENG-K  Serial replica-steps/s per update kernel — n={N} ring "
+            f"Ising, beta={BETA}",
+            ["kernel", "mode", "replicas", "steps", "replica-steps/s"],
+            rows,
+            notes=(
+                "Every kernel draws from one stream per replica (seed=0); the\n"
+                "annealed schedule is constant, so it differs from the sequential\n"
+                "kernel only in running matrix-free."
+            ),
+        )
+    )
+    assert all(rate > 0 for rate in rates.values())
 
 
 def test_local_game_throughput(benchmark):

@@ -66,8 +66,7 @@ def main() -> None:
     beta = 0.6
     game = IsingGame(nx.cycle_graph(6), coupling=1.0)
     dynamics = LogitDynamics(game, beta)
-    rng = np.random.default_rng(0)
-    trajectory = dynamics.simulate(start=(0,) * 6, num_steps=30_000, rng=rng)
+    trajectory = dynamics.simulate(start=(0,) * 6, num_steps=30_000, seed=0)
     spins = spins_from_profile(trajectory[3000:])
     empirical = float(np.abs(spins.mean(axis=1)).mean())
     exact = gibbs_expectation(

@@ -93,7 +93,7 @@ def main() -> None:
     rows = []
     for beta in BETAS:
         estimate = estimate_mixing_time_ensemble(
-            game, beta, num_replicas=4096, check_every=NUM_PLAYERS, rng=rng
+            game, beta, num_replicas=4096, check_every=NUM_PLAYERS, seed=0
         )
         coupling = LogitDynamics(game, beta).grand_coupling(
             start_x=(0,) * NUM_PLAYERS,

@@ -143,7 +143,6 @@ from .engine import (
     NumpyBackend,
     ParallelKernel,
     RoundRobinKernel,
-    SeededSequentialKernel,
     SequentialKernel,
     UpdateKernel,
     maximal_coupling_update_many,
@@ -294,7 +293,6 @@ __all__ = [
     "NumpyBackend",
     "ParallelKernel",
     "RoundRobinKernel",
-    "SeededSequentialKernel",
     "SequentialKernel",
     "UpdateKernel",
     "maximal_coupling_update_many",

@@ -32,6 +32,8 @@ from ..core.mixing import (
     measure_mixing_time,
     measure_relaxation_time,
 )
+from ..core.samplers import TruncatedGibbsEscapeSampler
+from ..engine.kernels import replica_seeds
 from ..games.base import Game
 from ..obs import as_tracer
 from ..parallel.sharding import claim_executor
@@ -39,7 +41,6 @@ from ..parallel.store import as_store, describe
 from ..stats.confseq import NormalMixtureCS
 from ..stats.knobs import (
     reject_executor_without_precision,
-    reject_seed_rng_conflict,
     require_executor_seed,
     require_store_seed,
 )
@@ -285,7 +286,6 @@ def ensemble_beta_sweep(
     num_replicas: int = 1024,
     epsilon: float = 0.25,
     max_time: int = 10**5,
-    rng: np.random.Generator | None = None,
     extra: Callable[[Game, float], dict] | None = None,
     alpha: float | None = None,
     seed: int | np.random.SeedSequence | None = None,
@@ -309,7 +309,7 @@ def ensemble_beta_sweep(
     :func:`~repro.core.mixing.estimate_tv_convergence`).
 
     ``seed`` makes the whole sweep reproducible (one spawned master-seed
-    child per grid point; mutually exclusive with ``rng``), ``executor``
+    child per grid point), ``executor``
     runs every grid point on the sharded multi-process TV driver
     (shard-count-invariant results; see
     :func:`~repro.core.mixing.estimate_tv_convergence`), and ``store``
@@ -332,7 +332,6 @@ def ensemble_beta_sweep(
     through to the per-cell estimator; tracing never changes the sample
     stream.
     """
-    reject_seed_rng_conflict(seed, rng)
     tracer = as_tracer(tracer)
     root = _root_seed(seed)
     betas = [float(beta) for beta in betas]
@@ -350,10 +349,10 @@ def ensemble_beta_sweep(
                 "max_time": int(max_time),
                 "alpha": alpha,
                 "extra": _described_factories(store_tag, extra=extra),
-                # serial (one shared generator) and sharded (one stream
-                # per replica) runs draw different samples from the same
-                # seed; the contract is part of the cell's identity
-                "randomness": "sharded" if executor is not None else "serial",
+                # serial and sharded runs draw different samples from the
+                # same seed (a sharded checkpoint starts a fresh sequential
+                # draw block); the contract is part of the cell's identity
+                "randomness": "sharded" if executor is not None else "per-replica",
                 "seed": describe(cell_seed),
             }
             yield _cell_name(store_tag, beta), spec, partial(measure, beta, cell_seed)
@@ -365,14 +364,9 @@ def ensemble_beta_sweep(
             num_replicas=num_replicas,
             epsilon=epsilon,
             max_time=max_time,
-            rng=(
-                np.random.default_rng(cell_seed)
-                if cell_seed is not None and executor is None
-                else rng
-            ),
             alpha=alpha,
             executor=executor,
-            seed=cell_seed if executor is not None else None,
+            seed=cell_seed,
             tracer=tracer,
         )
         extras = {
@@ -411,7 +405,6 @@ def dynamics_family_sweep(
     start: Sequence[int] | int | None = None,
     escape_states: Sequence[int] | np.ndarray | None = None,
     max_escape_steps: int = 10**5,
-    rng: np.random.Generator | None = None,
     welfare_alpha: float = 0.05,
     seed: int | np.random.SeedSequence | None = None,
     executor=None,
@@ -456,9 +449,9 @@ def dynamics_family_sweep(
 
     ``seed`` makes the sweep reproducible — every family gets its own
     spawned master-seed children (one for the TV measurement, one for the
-    escape ensemble; mutually exclusive with ``rng``).  ``executor`` runs
-    each family's TV measurement on the sharded multi-process driver
-    (sequential families only — the per-replica-stream contract; see
+    escape ensemble, whose replicas draw their uniform start in the well
+    from their own streams).  ``executor`` runs each family's TV
+    measurement on the sharded multi-process driver (see
     :func:`~repro.core.mixing.estimate_tv_convergence`).  ``store`` caches
     each family's cell under a content address of (game, family *name*,
     parameters, seed): the name — the mapping key — identifies the
@@ -497,10 +490,8 @@ def dynamics_family_sweep(
         entries = list(dynamics_factories)
     if not entries:
         raise ValueError("need at least one dynamics factory to sweep")
-    reject_seed_rng_conflict(seed, rng)
     tracer = as_tracer(tracer)
     root = _root_seed(seed)
-    rng = np.random.default_rng() if rng is None and root is None else rng
 
     def cells():
         for position, (name, factory) in enumerate(entries):
@@ -531,8 +522,16 @@ def dynamics_family_sweep(
                 "welfare_alpha": float(welfare_alpha),
                 # serial and sharded TV drivers draw different samples
                 # from the same seed; the contract is part of the spec
-                "randomness": "sharded" if executor is not None else "serial",
+                "randomness": "sharded" if executor is not None else "per-replica",
                 "seed": [describe(tv_seed), describe(escape_seed)],
+                # the escape ensemble draws its uniform starts from the
+                # replicas' own streams; the field joins the spec only for
+                # cells with escapes, so the others keep their addresses
+                **(
+                    {}
+                    if escape_states is None
+                    else {"escape_randomness": "per-replica"}
+                ),
                 # joins the spec only when set — pre-tail cells keep their
                 # content addresses
                 **({} if tail_q is None else {"tail_q": float(tail_q)}),
@@ -560,13 +559,8 @@ def dynamics_family_sweep(
             start=start,
             max_time=max_time,
             check_every=check_every,
-            rng=(
-                np.random.default_rng(tv_seed)
-                if tv_seed is not None and executor is None
-                else rng
-            ),
             executor=executor,
-            seed=tv_seed if executor is not None else None,
+            seed=tv_seed,
             tracer=tracer,
         )
         # utilitarian welfare of the settled ensemble: one batched
@@ -591,16 +585,10 @@ def dynamics_family_sweep(
         }
         if escape_states is not None:
             well = np.unique(np.asarray(escape_states, dtype=np.int64))
-            escape_rng = (
-                np.random.default_rng(escape_seed) if escape_seed is not None else rng
-            )
-            sim = dynamics.ensemble(
-                num_replicas,
-                start_indices=escape_rng.choice(well, size=num_replicas),
-                rng=escape_rng,
-                tracer=tracer,
-            )
-            times = sim.exit_times(well, max_steps=max_escape_steps)
+            uniform = np.full(well.size, 1.0 / well.size)
+            times = TruncatedGibbsEscapeSampler(
+                dynamics, well, uniform, max_escape_steps
+            ).first_passage(replica_seeds(escape_seed, num_replicas), tracer)
             escaped = times[times >= 0]
             extras["escape_fraction"] = float(escaped.size / times.size)
             extras["mean_escape_time"] = (
@@ -676,7 +664,6 @@ def hitting_time_size_sweep(
     target_factory: Callable[[Game], Callable[[np.ndarray], np.ndarray]],
     num_replicas: int = 64,
     max_steps: int = 10**5,
-    rng: np.random.Generator | None = None,
     dynamics_factory: Callable[[Game, float], object] | None = None,
     precision: float | None = None,
     alpha: float = 0.05,
@@ -725,8 +712,8 @@ def hitting_time_size_sweep(
     convention a replica hitting exactly *at* ``max_steps`` is
     indistinguishable from a censored one (their contribution to the
     truncated mean is identical).  Grid points are seeded from one master
-    ``seed`` (a spawned child per size), so the whole sweep is
-    reproducible end to end.
+    ``seed`` (a spawned child per size, in both modes), so the whole sweep
+    is reproducible end to end.
 
     ``executor`` (adaptive mode only) shards every grid point's replica
     chunks across processes via :class:`repro.parallel.ShardedExecutor`;
@@ -755,7 +742,6 @@ def hitting_time_size_sweep(
     through to the adaptive estimator's sample driver; tracing never
     changes the sample stream.
     """
-    rng = np.random.default_rng() if rng is None else rng
     tracer = as_tracer(tracer)
     if q is None and precision_quantile is not None:
         raise ValueError(
@@ -770,23 +756,21 @@ def hitting_time_size_sweep(
         )
     if store is not None and precision is None:
         raise ValueError(
-            "store= caches adaptive (precision=) cells, which are pure "
-            "functions of their spec; the fixed-replica path draws from a "
-            "shared rng stream and cannot be cached coherently — pass "
-            "precision= (and seed=)"
+            "store= caches adaptive (precision=) cells; the fixed-replica "
+            "path is not cached — pass precision= (and seed=)"
         )
     reject_executor_without_precision(
-        precision, executor, fixed_path="runs one shared-rng ensemble per size"
+        precision, executor, fixed_path="runs one in-process ensemble per size"
     )
     sizes = [int(n) for n in sizes]
-    # adaptive cells are always seeded: fresh entropy when seed is None
+    # cells are always seeded: fresh entropy when seed is None
     root = _root_seed(seed) if seed is not None else np.random.SeedSequence()
 
     def cells():
         for n in sizes:
             # spawned unconditionally — cache hits must not shift the
             # seeds of the cells that still need computing
-            cell_seed = root.spawn(1)[0] if precision is not None else None
+            cell_seed = root.spawn(1)[0]
             # store= implies precision=: only adaptive cells are cached
             spec = None if store is None else {
                 "sweep": "hitting_time_size_sweep",
@@ -828,7 +812,7 @@ def hitting_time_size_sweep(
             sim = dynamics.ensemble(
                 num_replicas,
                 start=np.asarray(start_factory(game)),
-                rng=rng,
+                seed=cell_seed,
                 tracer=tracer,
             )
             times = sim.hitting_times(target_factory(game), max_steps=max_steps)

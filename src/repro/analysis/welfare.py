@@ -26,7 +26,6 @@ import numpy as np
 
 from ..core.logit import LogitDynamics
 from ..core.samplers import BurnInWelfareSampler
-from ..engine.kernels import require_sequential_dynamics
 from ..games.base import Game, pure_nash_equilibria
 from ..games.space import DENSE_PROFILE_CAP
 from ..stats.accumulators import StreamingEstimate
@@ -119,11 +118,9 @@ def estimate_stationary_welfare(
     :func:`social_welfare_vector` while the space is within the dense cap
     and falls back to the CLT-style boundary beyond it.
 
-    Because the sampler always runs on per-replica seeded streams,
-    ``dynamics`` must be sequential (the default logit chain or any rule
-    advanced one random mover per step); parallel / round-robin / annealed
-    overrides are rejected rather than silently simulated as a different
-    chain.
+    ``dynamics`` overrides the chain (the default is the logit chain at
+    ``beta``); every dynamics runs on per-replica seeded streams, so any
+    of the Section 6 variants works.
 
     ``executor`` (``"serial"``, ``"process"``, or a
     :class:`repro.parallel.ShardedExecutor`) shards every replica chunk
@@ -138,7 +135,6 @@ def estimate_stationary_welfare(
     """
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
-    require_sequential_dynamics(dynamics)
     if precision is not None and precision <= 0:
         raise ValueError("precision must be positive (absolute welfare units)")
     if precision_quantile is not None and precision_quantile <= 0:

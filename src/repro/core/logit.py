@@ -29,7 +29,12 @@ import numpy as np
 
 from ..engine.coupled import simulate_grand_coupling_ensemble
 from ..engine.ensemble import EnsembleSimulator
-from ..engine.kernels import SequentialKernel, UpdateKernel
+from ..engine.kernels import (
+    SEQUENTIAL_BLOCK_SIZE,
+    SequentialKernel,
+    UpdateKernel,
+    replica_seeds,
+)
 from ..engine.sampling import sample_inverse_cdf
 from ..games.base import Game
 from ..games.potential import PotentialGame
@@ -59,6 +64,28 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     logits -= np.max(logits, axis=-1, keepdims=True)
     weights = np.exp(logits)
     return weights / np.sum(weights, axis=-1, keepdims=True)
+
+
+def _replica_zero_generator(seed) -> np.random.Generator:
+    """Replica 0's generator under ``seed``: what the reference loops draw from."""
+    return np.random.default_rng(replica_seeds(seed, 1)[0])
+
+
+def _sequential_loop_draws(seed, num_players: int, num_steps: int):
+    """Replica 0's ``(player, uniform)`` per step in the sequential layout.
+
+    The reference loops' reading of the
+    :class:`~repro.engine.kernels.SequentialKernel` stream: blocks of
+    ``SEQUENTIAL_BLOCK_SIZE`` steps, each a players block drawn before a
+    uniforms block.
+    """
+    block = SEQUENTIAL_BLOCK_SIZE
+    g = _replica_zero_generator(seed)
+    for t in range(num_steps):
+        if t % block == 0:
+            players = g.integers(0, num_players, size=block)
+            uniforms = g.random(block)
+        yield int(players[t % block]), float(uniforms[t % block])
 
 
 class LogitRule:
@@ -174,15 +201,19 @@ class EngineBackedDynamics:
         # engine: a cached (|S|, |S|) matrix would be copied into every
         # task (8 MB per dispatch at |S| = 1024) for nothing.
         return {
-            name: None if name in self._EXACT_CACHES else value
+            name: value
             for name, value in self.__dict__.items()
+            if name not in self._EXACT_CACHES
         }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(dict.fromkeys(self._EXACT_CACHES), **state)
 
     def ensemble(
         self,
         num_replicas: int,
         start: Sequence[int] | np.ndarray | int | None = None,
-        rng: np.random.Generator | None = None,
+        seed=None,
         mode: str = "auto",
         start_indices: np.ndarray | None = None,
         state: str = "auto",
@@ -201,13 +232,15 @@ class EngineBackedDynamics:
         path (:mod:`repro.engine.backend`): ``"numpy"`` is the default
         vectorised path, ``"numba"`` JIT-fuses the per-step pipeline for
         local-interaction games (graceful numpy fallback when numba is not
-        installed), ``"auto"`` uses numba whenever available.
+        installed), ``"auto"`` uses numba whenever available.  ``seed``
+        gives every replica its own stream (see
+        :class:`~repro.engine.EnsembleSimulator`).
         """
         return EnsembleSimulator(
             self,
             num_replicas,
             start=start,
-            rng=rng,
+            seed=seed,
             mode=mode,
             start_indices=start_indices,
             kernel=self.kernel(),
@@ -220,20 +253,20 @@ class EngineBackedDynamics:
         self,
         start: Sequence[int] | np.ndarray,
         num_steps: int,
-        rng: np.random.Generator | None = None,
+        seed=None,
         record_every: int = 1,
     ) -> np.ndarray:
         """Simulate one trajectory on the batched engine.
 
         Returns the recorded profiles as a ``(k, n)`` int array whose first
         row is the start profile and subsequent rows are snapshots every
-        ``record_every`` steps.  Given the same generator state it
-        reproduces this dynamics' scalar ``simulate_loop`` exactly.
+        ``record_every`` steps.  Given the same seed it reproduces this
+        dynamics' scalar ``simulate_loop`` exactly.
         """
         start = np.asarray(start, dtype=np.int64)
         if start.shape != (self.game.space.num_players,):
             raise ValueError("start profile has wrong length")
-        sim = self.ensemble(1, start=start, rng=rng, mode="matrix_free")
+        sim = self.ensemble(1, start=start, seed=seed, mode="matrix_free")
         snapshots = sim.run(num_steps, record_every=max(int(record_every), 1))
         return snapshots[:, 0, :]
 
@@ -241,7 +274,7 @@ class EngineBackedDynamics:
         self,
         start: Sequence[int] | np.ndarray,
         targets,
-        rng: np.random.Generator | None = None,
+        seed=None,
         max_steps: int = 10**6,
     ) -> int:
         """Steps until one trajectory first hits the target set (or -1).
@@ -254,7 +287,7 @@ class EngineBackedDynamics:
         trajectory.
         """
         sim = self.ensemble(
-            1, start=np.asarray(start, dtype=np.int64), rng=rng, mode="matrix_free"
+            1, start=np.asarray(start, dtype=np.int64), seed=seed, mode="matrix_free"
         )
         return int(sim.hitting_times(targets, max_steps=max_steps)[0])
 
@@ -381,7 +414,7 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         self,
         start: Sequence[int] | np.ndarray,
         num_steps: int,
-        rng: np.random.Generator | None = None,
+        seed=None,
         record_every: int = 1,
     ) -> np.ndarray:
         """Single-replica pure-Python reference implementation of :meth:`simulate`.
@@ -390,19 +423,16 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         against; simulation workloads should call :meth:`simulate` or
         :meth:`ensemble` instead.
         """
-        rng = np.random.default_rng() if rng is None else rng
         record_every = max(int(record_every), 1)
         profile = np.asarray(start, dtype=np.int64).copy()
         space = self.game.space
         if profile.shape != (space.num_players,):
             raise ValueError("start profile has wrong length")
         snapshots = [profile.copy()]
-        players = rng.integers(0, space.num_players, size=num_steps)
-        uniforms = rng.random(num_steps)
-        for t in range(num_steps):
-            i = int(players[t])
+        draws = _sequential_loop_draws(seed, space.num_players, num_steps)
+        for t, (i, u) in enumerate(draws):
             probs = self.update_distribution(profile, i)
-            profile[i] = sample_inverse_cdf(probs, uniforms[t])
+            profile[i] = sample_inverse_cdf(probs, u)
             if (t + 1) % record_every == 0:
                 snapshots.append(profile.copy())
         return np.asarray(snapshots, dtype=np.int64)

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.backend import resolve_backend
-from ..engine.kernels import require_sequential_dynamics
+from ..engine.kernels import replica_seeds
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.chain import MarkovChain
@@ -49,7 +49,6 @@ from .samplers import (
     TruncatedGibbsEscapeSampler,
     TruncatedHittingSampler,
     TruncatedPredicateEscapeSampler,
-    check_start_inside_well,
 )
 
 __all__ = [
@@ -206,6 +205,8 @@ def _adaptive_truncated_times(
     without changing any sample (see
     :func:`repro.stats.adaptive.run_until_width`).
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     if precision is not None and not 0 < precision:
         raise ValueError("precision must be positive (fraction of max_steps)")
     if precision_quantile is not None and not 0 < precision_quantile:
@@ -239,7 +240,6 @@ def empirical_escape_times(
     num_replicas: int | None = None,
     max_steps: int = 10**6,
     start_distribution: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
     dynamics=None,
     start_profiles: np.ndarray | None = None,
     precision: float | None = None,
@@ -289,13 +289,15 @@ def empirical_escape_times(
     ``precision * max_steps`` wide (or ``max_replicas`` is exhausted).
     The return type is then a
     :class:`~repro.stats.accumulators.StreamingEstimate` carrying the
-    interval; with ``precision=None`` (default) the legacy fixed-replica
-    sample array is returned, bit-for-bit unchanged.  Adaptive mode sizes
-    and seeds the run itself: it is seeded by ``seed`` (not ``rng``) and
-    budgeted by ``max_replicas`` (not ``num_replicas``) — passing either
-    fixed-mode knob together with ``precision`` is an error, not a silent
-    ignore.  It needs sequential dynamics, and for a predicate well
-    accepts only a single shared ``(n,)`` start profile.
+    interval; with ``precision=None`` (default) the fixed-replica sample
+    array of ``num_replicas`` replicas is returned.  Both modes are seeded
+    by ``seed``, replica ``r`` by ``SeedSequence`` child ``r``, so the
+    fixed-replica samples (with ``-1`` read as ``max_steps``) are the
+    first ``num_replicas`` adaptive samples.  Adaptive mode is budgeted by
+    ``max_replicas``, not ``num_replicas`` — passing the fixed-mode knob
+    together with ``precision`` is an error, not a silent ignore.  It runs
+    every dynamics, and for a predicate well accepts only a single shared
+    ``(n,)`` start profile.
 
     ``executor`` (adaptive mode only) shards each replica chunk across
     processes via :class:`repro.parallel.ShardedExecutor` — pooled samples
@@ -320,16 +322,13 @@ def empirical_escape_times(
     adaptive = precision is not None or q is not None
     reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
     if adaptive:
-        reject_fixed_mode_knobs(num_replicas, rng)
+        reject_fixed_mode_knobs(num_replicas)
     else:
         reject_executor_without_precision(precision, executor)
     backend = resolve_backend(backend, tracer=tracer)
     num_replicas = 128 if num_replicas is None else int(num_replicas)
-    rng = np.random.default_rng() if rng is None else rng
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
-    if adaptive:
-        require_sequential_dynamics(dynamics)
     if callable(states):
         if start_distribution is not None:
             raise ValueError(
@@ -342,58 +341,41 @@ def empirical_escape_times(
                 "pass start_profiles (an (n,) profile or (R, n) per-replica "
                 "profiles inside the well)"
             )
-
-        if adaptive:
-            profile = np.asarray(start_profiles)
-            if profile.ndim != 1:
-                raise ValueError(
-                    "adaptive mode replays a single (n,) start profile per "
-                    "chunk; per-replica (R, n) start profiles would tie the "
-                    "samples to one fixed replica count"
-                )
-            return _adaptive_truncated_times(
-                TruncatedPredicateEscapeSampler(
-                    dynamics, profile, states, int(max_steps), backend
-                ),
-                precision, alpha, max_steps,
-                chunk_size, max_replicas, seed, keep_samples, executor,
-                q, precision_quantile, tracer,
+        profile = np.asarray(start_profiles)
+        if adaptive and profile.ndim != 1:
+            raise ValueError(
+                "adaptive mode replays a single (n,) start profile per "
+                "chunk; per-replica (R, n) start profiles would tie the "
+                "samples to one fixed replica count"
             )
-        sim = dynamics.ensemble(
-            num_replicas,
-            start=np.asarray(start_profiles),
-            rng=rng,
-            backend=backend,
-            tracer=tracer,
+        sampler = TruncatedPredicateEscapeSampler(
+            dynamics, profile, states, int(max_steps), backend
         )
-        check_start_inside_well(states, sim, num_replicas)
-        return sim.exit_times(states, max_steps=max_steps)
-    if start_profiles is not None:
-        raise ValueError("start_profiles is only for predicate wells; use "
-                         "start_distribution with an index well")
-    idx = _validate_subset(states, game.space.size)
-    if start_distribution is None:
-        weights = _conditional_gibbs_weights(game, beta, idx)
     else:
-        weights = np.asarray(start_distribution, dtype=float)
-        if weights.shape != (idx.size,):
-            raise ValueError("start_distribution must be indexed within R")
-        total = float(weights.sum())
-        if total <= 0:
-            raise ValueError("start_distribution must have positive mass")
-        weights = weights / total
+        if start_profiles is not None:
+            raise ValueError("start_profiles is only for predicate wells; use "
+                             "start_distribution with an index well")
+        idx = _validate_subset(states, game.space.size)
+        if start_distribution is None:
+            weights = _conditional_gibbs_weights(game, beta, idx)
+        else:
+            weights = np.asarray(start_distribution, dtype=float)
+            if weights.shape != (idx.size,):
+                raise ValueError("start_distribution must be indexed within R")
+            total = float(weights.sum())
+            if total <= 0:
+                raise ValueError("start_distribution must have positive mass")
+            weights = weights / total
+        sampler = TruncatedGibbsEscapeSampler(
+            dynamics, idx, weights, int(max_steps), backend
+        )
     if adaptive:
         return _adaptive_truncated_times(
-            TruncatedGibbsEscapeSampler(dynamics, idx, weights, int(max_steps), backend),
-            precision, alpha, max_steps,
+            sampler, precision, alpha, max_steps,
             chunk_size, max_replicas, seed, keep_samples, executor,
             q, precision_quantile, tracer,
         )
-    starts = rng.choice(idx, size=num_replicas, p=weights)
-    sim = dynamics.ensemble(
-        num_replicas, start_indices=starts, rng=rng, backend=backend, tracer=tracer
-    )
-    return sim.exit_times(idx, max_steps=max_steps)
+    return sampler.first_passage(replica_seeds(seed, num_replicas), tracer)
 
 
 def empirical_hitting_times(
@@ -403,7 +385,6 @@ def empirical_hitting_times(
     targets,
     num_replicas: int | None = None,
     max_steps: int = 10**6,
-    rng: np.random.Generator | None = None,
     dynamics=None,
     precision: float | None = None,
     alpha: float = 0.05,
@@ -436,12 +417,13 @@ def empirical_hitting_times(
     ``precision`` switches to adaptive mode (see
     :func:`empirical_escape_times` — same chunked ``SeedSequence.spawn``
     discipline, same truncated-mean estimand ``E[min(tau, max_steps)]``,
-    same stopping rule, same rejection of the fixed-mode ``num_replicas`` /
-    ``rng`` knobs): the return type becomes a
+    same stopping rule, same rejection of the fixed-mode ``num_replicas``
+    knob): the return type becomes a
     :class:`~repro.stats.accumulators.StreamingEstimate` whose interval is
     at most ``precision * max_steps`` wide when ``stopped_early`` is true.
-    With ``precision=None`` the legacy fixed-replica sample array is
-    returned unchanged.  ``executor`` shards the adaptive chunks across
+    With ``precision=None`` the fixed-replica sample array is returned; its
+    replica ``r`` runs on ``SeedSequence`` child ``r`` of ``seed``, like
+    adaptive sample ``r``.  ``executor`` shards the adaptive chunks across
     processes without changing any sample, and ``backend`` selects the
     engine's array backend, resolved once in this (coordinator) process so
     a numba-unavailable fallback warns exactly once and visibly (see
@@ -456,7 +438,7 @@ def empirical_hitting_times(
     adaptive = precision is not None or q is not None
     reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
     if adaptive:
-        reject_fixed_mode_knobs(num_replicas, rng)
+        reject_fixed_mode_knobs(num_replicas)
     else:
         reject_executor_without_precision(precision, executor)
     backend = resolve_backend(backend, tracer=tracer)
@@ -467,27 +449,22 @@ def empirical_hitting_times(
         start_state: np.ndarray | int = int(start)
     else:
         start_state = np.asarray(start, dtype=np.int64)
-    if adaptive:
-        require_sequential_dynamics(dynamics)
-        if isinstance(start_state, np.ndarray) and start_state.ndim != 1:
-            raise ValueError(
-                "adaptive mode replays a single start (profile index or (n,) "
-                "profile) per chunk; per-replica (R, n) start profiles would "
-                "tie the samples to one fixed replica count"
-            )
-
-        return _adaptive_truncated_times(
-            TruncatedHittingSampler(
-                dynamics, start_state, targets, int(max_steps), backend
-            ),
-            precision, alpha, max_steps,
-            chunk_size, max_replicas, seed, keep_samples, executor,
-            q, precision_quantile, tracer,
-        )
-    sim = dynamics.ensemble(
-        num_replicas, start=start_state, rng=rng, backend=backend, tracer=tracer
+    sampler = TruncatedHittingSampler(
+        dynamics, start_state, targets, int(max_steps), backend
     )
-    return sim.hitting_times(targets, max_steps=max_steps)
+    if not adaptive:
+        return sampler.first_passage(replica_seeds(seed, num_replicas), tracer)
+    if isinstance(start_state, np.ndarray) and start_state.ndim != 1:
+        raise ValueError(
+            "adaptive mode replays a single start (profile index or (n,) "
+            "profile) per chunk; per-replica (R, n) start profiles would "
+            "tie the samples to one fixed replica count"
+        )
+    return _adaptive_truncated_times(
+        sampler, precision, alpha, max_steps,
+        chunk_size, max_replicas, seed, keep_samples, executor,
+        q, precision_quantile, tracer,
+    )
 
 
 def pseudo_mixing_time(

@@ -26,20 +26,15 @@ import numpy as np
 
 from ..engine.backend import resolve_backend
 from ..obs import as_tracer
-from ..engine.ensemble import EnsembleSimulator
-from ..engine.kernels import SeededSequentialKernel, require_sequential_dynamics
+from ..engine.kernels import replica_seeds
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.coupling import coalescence_time_bound
 from ..markov.mixing import MixingTimeResult, mixing_time
 from ..markov.spectral import SpectralSummary, relaxation_mixing_bounds, spectral_summary
-from ..markov.tv import total_variation
+from ..markov.tv import is_distribution, total_variation
 from ..parallel.sharding import claim_executor, shard_plan
 from ..stats.confseq import checkpoint_alpha, tv_distance_band
-from ..stats.knobs import (
-    reject_rng_with_sharded_driver,
-    reject_seed_without_sharded_driver,
-)
 from .logit import LogitDynamics
 
 __all__ = [
@@ -65,21 +60,11 @@ MAX_EXACT_PROFILES = 40_000
 SPARSE_HISTOGRAM_THRESHOLD = 1 << 20
 
 
-def _ensemble_tv(sim, reference: np.ndarray) -> float:
-    """TV distance between the ensemble's occupation and ``reference``.
-
-    Thin adapter over :func:`_tv_from_indices` — the serial and sharded
-    convergence drivers share one TV implementation by construction.
-    """
-    return _tv_from_indices(
-        np.asarray(sim.state.indices_at(None), dtype=np.int64),
-        reference,
-        sim.space.size,
-    )
-
-
 def _tv_from_indices(indices: np.ndarray, reference: np.ndarray, space_size: int) -> float:
     """TV distance between a replica occupation and ``reference``.
+
+    The serial and sharded convergence drivers share this one TV
+    implementation by construction.
 
     Dense histogram up to ``SPARSE_HISTOGRAM_THRESHOLD`` profiles; beyond
     that, the sparse occupied-index form: with occupied indices ``I`` and
@@ -100,23 +85,27 @@ def _tv_from_indices(indices: np.ndarray, reference: np.ndarray, space_size: int
     )
 
 
-def _advance_tv_shard(dynamics, seeds, start, steps: int, backend="numpy"):
+def _advance_tv_shard(dynamics, seeds, start, time: int, steps: int, backend="numpy"):
     """Advance one replica shard ``steps`` steps; module-level, picklable.
 
     ``seeds`` is the shard's per-replica randomness — ``SeedSequence``
     children on the first round, the previous round's generators (adopted
     as-is, so every stream *continues*) afterwards — and ``start`` the
     shared start on the first round, the shard's ``(R_shard, n)`` profile
-    rows afterwards.  ``backend`` is the *resolved* array backend shipped
-    from the coordinator (resolving in the parent keeps the numba-fallback
-    warning visible and one-shot instead of per-worker).  Returns
-    ``(generators, profiles, indices, seconds)``: the round-tripped shard
-    state, the profile indices the checkpoint TV is computed from, and the
-    worker wall-clock spent advancing — the coordinator's per-shard load
-    signal (carries no randomness, never affects results).
+    rows afterwards.  ``time`` is the checkpoint time the shard resumes
+    from, so the rebuilt simulator continues the dynamics' clock (the
+    round-robin cursor, the annealed schedule).  ``backend`` is the
+    *resolved* array backend shipped from the coordinator (resolving in
+    the parent keeps the numba-fallback warning visible and one-shot
+    instead of per-worker).  Returns ``(generators, profiles, indices,
+    seconds)``: the round-tripped shard state, the profile indices the
+    checkpoint TV is computed from, and the worker wall-clock spent
+    advancing — the coordinator's per-shard load signal (carries no
+    randomness, never affects results).
     """
     tic = perf_counter()
-    sim = EnsembleSimulator.seeded(dynamics, seeds, start=start, backend=backend)
+    sim = dynamics.ensemble(len(seeds), start=start, seed=seeds, backend=backend)
+    sim.kernel_state["step"] = time
     if steps:
         sim.run(steps)
     return (
@@ -256,65 +245,37 @@ class EnsembleMixingEstimate:
         return self.mixing_time_estimate
 
 
-def _estimate_tv_convergence_sharded(
-    dynamics,
-    reference: np.ndarray,
-    num_replicas: int,
-    epsilon: float,
-    start,
-    max_time: int,
-    check_every: int,
-    alpha: float | None,
-    seed,
-    executor,
-    backend="numpy",
-    tracer=None,
-) -> EnsembleMixingEstimate:
-    """Sharded-replica TV convergence: the ``executor=`` path.
+def _sharded_advance(dynamics, start, seed, num_replicas, executor, backend, tracer):
+    """The ``executor=`` path's ``advance(t, steps) -> indices`` callable.
 
     The ensemble is split into contiguous replica shards, each advanced in
     its own (possibly remote) process between checkpoints by
-    :func:`_advance_tv_shard`; the coordinator pools the shards' profile
-    indices at every checkpoint and applies the identical stopping logic.
-    Replica ``r`` draws all randomness from ``SeedSequence`` child ``r``
-    of the master ``seed`` (:meth:`~repro.engine.SeededSequentialKernel.
-    spawn_block`), so the pooled indices — hence the TV curve, the band
-    and the estimate — are bit-for-bit identical for **any** shard count
-    and backend.  Note the randomness contract differs from the
-    ``rng``-driven serial path (per-replica streams vs one shared stream,
-    and a fresh draw block after every checkpoint): results are
-    reproducible against the same ``seed`` and checkpoint schedule, not
-    against ``executor=None`` runs.
+    :func:`_advance_tv_shard`; ``advance`` pools the shards' profile
+    indices in replica order.  Replica ``r`` draws all randomness from
+    ``SeedSequence`` child ``r`` of the master ``seed``
+    (:func:`~repro.engine.kernels.replica_seeds`), so the pooled indices —
+    hence the TV curve, the band and the estimate — are bit-for-bit
+    identical for **any** shard count and backend.  The row-stream kernels
+    (parallel, probabilistic, round-robin) never draw past a checkpoint,
+    so they also match the serial path; the sequential kernels start a
+    fresh draw block per replica after every checkpoint, so for them
+    results are reproducible against the same ``seed`` and checkpoint
+    schedule, not against ``executor=None`` runs.
     """
-    require_sequential_dynamics(dynamics)
-    tracer = as_tracer(tracer)
-    space = dynamics.game.space
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    children = SeededSequentialKernel.spawn_block(
-        root, root.n_children_spawned, num_replicas
-    )
+    children = replica_seeds(seed, num_replicas)
     plan = shard_plan(num_replicas, executor.num_shards)
     shard_seeds = [children[off : off + cnt] for off, cnt in plan]
     shard_starts: list = [start] * len(plan)
-    curve: list[tuple[float, float]] = []
-    band: list[tuple[float, float]] = []
-    t = 0
-    steps = 0
-    converged = False
-    while True:
+
+    def advance(t: int, steps: int) -> np.ndarray:
+        nonlocal shard_seeds, shard_starts
         tasks = [
-            (dynamics, shard_seeds[j], shard_starts[j], steps, backend)
+            (dynamics, shard_seeds[j], shard_starts[j], t, steps, backend)
             for j in range(len(plan))
         ]
         results = executor.map_tasks(_advance_tv_shard, tasks, tracer=tracer)
         shard_seeds = [r[0] for r in results]
         shard_starts = [r[1] for r in results]
-        indices = np.concatenate([r[2] for r in results])
-        t += steps
         if tracer.enabled and steps:
             # workers build their sims untraced, so the coordinator does
             # the counting: every shard advanced `steps` steps per replica
@@ -339,41 +300,9 @@ def _estimate_tv_convergence_sharded(
                 mean_seconds=mean,
                 imbalance=(max(seconds) / mean) if mean > 0 else 1.0,
             )
-        tv = _tv_from_indices(indices, reference, space.size)
-        curve.append((float(t), float(tv)))
-        if alpha is None:
-            converged = tv <= epsilon
-            if tracer.enabled:
-                tracer.event("mixing.checkpoint", t=int(t), tv=float(tv))
-        else:
-            lower, upper = tv_distance_band(
-                tv, num_replicas, space.size, checkpoint_alpha(len(curve), alpha)
-            )
-            band.append((lower, upper))
-            converged = upper <= epsilon
-            if tracer.enabled:
-                tracer.event(
-                    "mixing.checkpoint",
-                    t=int(t),
-                    tv=float(tv),
-                    lower=float(lower),
-                    upper=float(upper),
-                )
-        if converged or t >= max_time:
-            break
-        steps = min(check_every, max_time - t)
-    return EnsembleMixingEstimate(
-        mixing_time_estimate=int(t) if converged else -1,
-        epsilon=epsilon,
-        num_replicas=int(num_replicas),
-        check_every=check_every,
-        tv_curve=np.asarray(curve, dtype=float),
-        capped=not converged,
-        final_indices=indices,
-        converged=converged,
-        alpha=alpha,
-        tv_band=np.asarray(band, dtype=float) if alpha is not None else None,
-    )
+        return np.concatenate([r[2] for r in results])
+
+    return advance
 
 
 def estimate_tv_convergence(
@@ -384,7 +313,6 @@ def estimate_tv_convergence(
     start: Sequence[int] | int | None = None,
     max_time: int = 10**5,
     check_every: int | None = None,
-    rng: np.random.Generator | None = None,
     mode: str = "auto",
     alpha: float | None = None,
     executor=None,
@@ -430,18 +358,17 @@ def estimate_tv_convergence(
     out of horizon is reported as such, not as a convergence time at the
     last checkpoint.
 
-    ``executor`` (``"serial"``, ``"process"``, or a
+    ``seed`` seeds replica ``r`` with ``SeedSequence`` child ``r`` (see
+    :func:`~repro.engine.kernels.replica_seeds`).  ``executor``
+    (``"serial"``, ``"process"``, or a
     :class:`repro.parallel.ShardedExecutor`) switches to the *sharded*
     driver: the ensemble splits into contiguous replica shards, each
-    advanced in its own process between checkpoints, with one independent
-    ``SeedSequence`` child per replica spawned from ``seed``.  Pooled
-    checkpoint histograms — and therefore the whole estimate — are
-    bit-for-bit identical for every shard count, so the shard count is
-    purely a wall-clock knob.  Sharded mode requires a dynamics whose
-    kernel has a seeded per-replica-stream variant (sequential, parallel
-    or probabilistic schedules) and is seeded by ``seed``, not ``rng``;
-    its randomness contract differs from the ``rng``-driven serial path,
-    so compare sharded runs against sharded runs.
+    advanced in its own process between checkpoints.  Pooled checkpoint
+    histograms — and therefore the whole estimate — are bit-for-bit
+    identical for every shard count, so the shard count is purely a
+    wall-clock knob.  Every dynamics runs sharded; for the sequential
+    kernels each shard starts a fresh draw block per checkpoint, so
+    compare their sharded runs against sharded runs.
 
     ``backend`` selects the engine's array backend (``"numpy"``,
     ``"numba"``, or an :class:`~repro.engine.backend.ArrayBackend`
@@ -464,6 +391,23 @@ def estimate_tv_convergence(
         raise ValueError(
             f"reference must be a distribution over the {space.size} profiles"
         )
+    if not (np.all(np.isfinite(reference)) and is_distribution(reference, tol=1e-6)):
+        raise ValueError(
+            "reference must be a distribution: finite, non-negative, summing to 1"
+        )
+    if num_replicas < 1:
+        raise ValueError("num_replicas must be positive")
+    if max_time < 0:
+        raise ValueError("max_time must be non-negative")
+    if check_every is None:
+        check_every = max(1, space.num_players)
+    if check_every < 1:
+        raise ValueError("check_every must be positive")
+    num_replicas, max_time = int(num_replicas), int(max_time)
+    check_every = int(check_every)
+    budget = dynamics.kernel().remaining_steps(0)
+    if budget is not None:
+        max_time = min(max_time, budget)
     if start is None:
         start = int(np.argmax(reference))
     elif not isinstance(start, (int, np.integer)):
@@ -472,76 +416,61 @@ def estimate_tv_convergence(
     backend = resolve_backend(backend, tracer=tracer)
     sharder, owned = claim_executor(executor)
     if sharder is not None:
-        reject_rng_with_sharded_driver(rng)
-        if check_every is None:
-            check_every = max(1, space.num_players)
-        try:
-            return _estimate_tv_convergence_sharded(
-                dynamics,
-                reference,
-                int(num_replicas),
-                epsilon,
-                start,
-                int(max_time),
-                max(int(check_every), 1),
-                alpha,
-                seed,
-                sharder,
-                backend,
-                tracer,
-            )
-        finally:
-            if owned:
-                sharder.close()
-    reject_seed_without_sharded_driver(seed)
-    sim = dynamics.ensemble(
-        num_replicas, start=start, rng=rng, mode=mode, backend=backend, tracer=tracer
-    )
-    budget = sim.kernel.remaining_steps(sim)
-    if budget is not None:
-        max_time = min(int(max_time), budget)
-    if check_every is None:
-        check_every = max(1, space.num_players)
-    check_every = max(int(check_every), 1)
+        advance = _sharded_advance(
+            dynamics, start, seed, num_replicas, sharder, backend, tracer
+        )
+    else:
+        sim = dynamics.ensemble(
+            num_replicas, start=start, seed=seed, mode=mode, backend=backend,
+            tracer=tracer,
+        )
+
+        def advance(t: int, steps: int) -> np.ndarray:
+            if steps:
+                sim.run(steps)
+            return np.asarray(sim.state.indices_at(None), dtype=np.int64)
 
     curve: list[tuple[float, float]] = []
     band: list[tuple[float, float]] = []
-    t = 0
-    converged = False
-    while True:
-        tv = _ensemble_tv(sim, reference)
-        curve.append((float(t), float(tv)))
-        if alpha is None:
-            converged = tv <= epsilon
-            if tracer.enabled:
-                tracer.event("mixing.checkpoint", t=int(t), tv=float(tv))
-        else:
-            lower, upper = tv_distance_band(
-                tv, num_replicas, space.size, checkpoint_alpha(len(curve), alpha)
-            )
-            band.append((lower, upper))
-            converged = upper <= epsilon
-            if tracer.enabled:
-                tracer.event(
-                    "mixing.checkpoint",
-                    t=int(t),
-                    tv=float(tv),
-                    lower=float(lower),
-                    upper=float(upper),
+    t = steps = 0
+    try:
+        while True:
+            indices = advance(t, steps)
+            t += steps
+            tv = _tv_from_indices(indices, reference, space.size)
+            curve.append((float(t), float(tv)))
+            if alpha is None:
+                converged = tv <= epsilon
+                if tracer.enabled:
+                    tracer.event("mixing.checkpoint", t=int(t), tv=float(tv))
+            else:
+                lower, upper = tv_distance_band(
+                    tv, num_replicas, space.size, checkpoint_alpha(len(curve), alpha)
                 )
-        if converged or t >= max_time:
-            break
-        steps = min(check_every, max_time - t)
-        sim.run(steps)
-        t += steps
+                band.append((lower, upper))
+                converged = upper <= epsilon
+                if tracer.enabled:
+                    tracer.event(
+                        "mixing.checkpoint",
+                        t=int(t),
+                        tv=float(tv),
+                        lower=float(lower),
+                        upper=float(upper),
+                    )
+            if converged or t >= max_time:
+                break
+            steps = min(check_every, max_time - t)
+    finally:
+        if owned:
+            sharder.close()
     return EnsembleMixingEstimate(
         mixing_time_estimate=int(t) if converged else -1,
         epsilon=epsilon,
-        num_replicas=int(num_replicas),
+        num_replicas=num_replicas,
         check_every=check_every,
         tv_curve=np.asarray(curve, dtype=float),
         capped=not converged,
-        final_indices=sim.indices,
+        final_indices=indices,
         converged=converged,
         alpha=alpha,
         tv_band=np.asarray(band, dtype=float) if alpha is not None else None,
@@ -556,7 +485,6 @@ def estimate_mixing_time_ensemble(
     start: Sequence[int] | int | None = None,
     max_time: int = 10**5,
     check_every: int | None = None,
-    rng: np.random.Generator | None = None,
     mode: str = "auto",
     alpha: float | None = None,
     executor=None,
@@ -610,7 +538,6 @@ def estimate_mixing_time_ensemble(
         start=start,
         max_time=max_time,
         check_every=check_every,
-        rng=rng,
         mode=mode,
         alpha=alpha,
         executor=executor,

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.ensemble import EnsembleSimulator
-
 __all__ = [
     "BurnInWelfareSampler",
     "TruncatedGibbsEscapeSampler",
@@ -43,15 +41,25 @@ def check_start_inside_well(states, sim, count: int) -> None:
         )
 
 
+class _TruncatedFirstPassage:
+    """Samples ``min(tau, max_steps)``: the times of ``first_passage``, with
+    not-reached ``-1`` entries counted as the horizon."""
+
+    def __call__(self, children) -> np.ndarray:
+        times = self.first_passage(children)
+        return np.where(times < 0, self.max_steps, times).astype(float)
+
+
 @dataclass
-class TruncatedHittingSampler:
+class TruncatedHittingSampler(_TruncatedFirstPassage):
     """Picklable chunk sampler: seeded first-hitting times, horizon-truncated.
 
     One instance is the whole shard payload — dynamics, shared start and
     target set travel with it (module-level class, so the process backend
     of :class:`repro.parallel.ShardedExecutor` can pickle it); ``-1``
     not-reached entries are truncated to ``max_steps`` so the samples are
-    the bounded estimand ``min(tau, max_steps)``.
+    the bounded estimand ``min(tau, max_steps)``.  :meth:`first_passage`
+    is the untruncated fixed-replica measurement on the same streams.
     """
 
     dynamics: object
@@ -62,22 +70,24 @@ class TruncatedHittingSampler:
     #: numba-fallback warning fires there, visibly, not once per worker)
     backend: object = "numpy"
 
-    def __call__(self, children) -> np.ndarray:
-        sim = EnsembleSimulator.seeded(
-            self.dynamics, children, start=self.start, backend=self.backend
+    def first_passage(self, children, tracer=None) -> np.ndarray:
+        """Hitting times of one replica per child (``-1``: not reached)."""
+        sim = self.dynamics.ensemble(
+            len(children), start=self.start, seed=children,
+            backend=self.backend, tracer=tracer,
         )
-        times = sim.hitting_times(self.targets, max_steps=self.max_steps)
-        return np.where(times < 0, self.max_steps, times).astype(float)
+        return sim.hitting_times(self.targets, max_steps=self.max_steps)
 
 
 @dataclass
-class TruncatedPredicateEscapeSampler:
+class TruncatedPredicateEscapeSampler(_TruncatedFirstPassage):
     """Picklable chunk sampler: escape times of a predicate well.
 
-    Every replica starts at the same ``(n,)`` profile (validated to lie
-    inside the well before any step runs) and escapes when the predicate
-    first turns false; times are truncated at the horizon like the
-    hitting sampler's.
+    Every replica starts at ``start_profile`` — one shared ``(n,)`` profile,
+    or ``(R, n)`` per-replica rows in a fixed-replica :meth:`first_passage`
+    — validated to lie inside the well before any step runs, and escapes
+    when the predicate first turns false; times are truncated at the
+    horizon like the hitting sampler's.
     """
 
     dynamics: object
@@ -86,23 +96,25 @@ class TruncatedPredicateEscapeSampler:
     max_steps: int
     backend: object = "numpy"
 
-    def __call__(self, children) -> np.ndarray:
-        sim = EnsembleSimulator.seeded(
-            self.dynamics, children, start=self.start_profile, backend=self.backend
+    def first_passage(self, children, tracer=None) -> np.ndarray:
+        """Escape times of one replica per child (``-1``: not escaped)."""
+        sim = self.dynamics.ensemble(
+            len(children), start=self.start_profile, seed=children,
+            backend=self.backend, tracer=tracer,
         )
         check_start_inside_well(self.states, sim, len(children))
-        times = sim.exit_times(self.states, max_steps=self.max_steps)
-        return np.where(times < 0, self.max_steps, times).astype(float)
+        return sim.exit_times(self.states, max_steps=self.max_steps)
 
 
 @dataclass
-class TruncatedGibbsEscapeSampler:
-    """Picklable chunk sampler: escape times of an index well, Gibbs starts.
+class TruncatedGibbsEscapeSampler(_TruncatedFirstPassage):
+    """Picklable chunk sampler: escape times of an index well, weighted starts.
 
-    Each replica's start is drawn from the conditional-Gibbs weights using
-    its own stream, then the same stream drives its trajectory — the whole
-    sample is a pure function of the replica's seed child, which is what
-    keeps pooled samples invariant to chunking *and* sharding.
+    Each replica's start is drawn from the well's start weights (the
+    conditional Gibbs measure, or a caller's distribution) using its own
+    stream, then the same stream drives its trajectory — the whole sample
+    is a pure function of the replica's seed child, which is what keeps
+    pooled samples invariant to chunking *and* sharding.
     """
 
     dynamics: object
@@ -111,16 +123,17 @@ class TruncatedGibbsEscapeSampler:
     max_steps: int
     backend: object = "numpy"
 
-    def __call__(self, children) -> np.ndarray:
+    def first_passage(self, children, tracer=None) -> np.ndarray:
+        """Escape times of one replica per child (``-1``: not escaped)."""
         gens = [np.random.default_rng(c) for c in children]
         starts = self.well[
             [int(g.choice(self.well.size, p=self.weights)) for g in gens]
         ]
-        sim = EnsembleSimulator.seeded(
-            self.dynamics, gens, start_indices=starts, backend=self.backend
+        sim = self.dynamics.ensemble(
+            len(gens), start_indices=starts, seed=gens,
+            backend=self.backend, tracer=tracer,
         )
-        times = sim.exit_times(self.well, max_steps=self.max_steps)
-        return np.where(times < 0, self.max_steps, times).astype(float)
+        return sim.exit_times(self.well, max_steps=self.max_steps)
 
 
 @dataclass
@@ -144,7 +157,7 @@ class BurnInWelfareSampler:
         # here would be a cycle
         from ..analysis.welfare import welfare_of_profiles
 
-        sim = EnsembleSimulator.seeded(self.dynamics, children, start=self.start)
+        sim = self.dynamics.ensemble(len(children), start=self.start, seed=children)
         sim.run(self.num_steps)
         if self.game.space.fits_int64:
             return self.game.utility_profile_many(sim.indices).sum(axis=1)

@@ -56,7 +56,7 @@ def empirical_tv_to_stationary(
     num_steps: int,
     burn_in: int | None = None,
     start: Sequence[int] | None = None,
-    rng: np.random.Generator | None = None,
+    seed=None,
 ) -> float:
     """TV distance between the occupation measure and the stationary distribution.
 
@@ -64,11 +64,10 @@ def empirical_tv_to_stationary(
     occupation measure converges to ``pi`` as the trajectory grows, so this
     quantity should be small for ``num_steps`` well beyond the mixing time.
     """
-    rng = np.random.default_rng() if rng is None else rng
     dynamics = LogitDynamics(game, beta)
     if start is None:
         start = (0,) * game.num_players
-    trajectory = dynamics.simulate(start, num_steps, rng=rng)
+    trajectory = dynamics.simulate(start, num_steps, seed=seed)
     if burn_in is None:
         burn_in = num_steps // 10
     empirical = empirical_distribution(game, trajectory, burn_in=burn_in)
@@ -82,7 +81,7 @@ def hitting_time_samples(
     target_index: int,
     num_samples: int = 16,
     max_steps: int = 10**6,
-    rng: np.random.Generator | None = None,
+    seed=None,
 ) -> np.ndarray:
     """Monte-Carlo samples of the hitting time of ``target_index`` from ``start``.
 
@@ -91,7 +90,9 @@ def hitting_time_samples(
     as one replica ensemble on the batched engine.
     """
     dynamics = LogitDynamics(game, beta)
-    sim = dynamics.ensemble(num_samples, start=np.asarray(start, dtype=np.int64), rng=rng)
+    sim = dynamics.ensemble(
+        num_samples, start=np.asarray(start, dtype=np.int64), seed=seed
+    )
     return sim.hitting_times(int(target_index), max_steps=max_steps)
 
 
@@ -112,14 +113,13 @@ def fraction_of_time_in(
     num_steps: int,
     start: Sequence[int] | None = None,
     burn_in: int | None = None,
-    rng: np.random.Generator | None = None,
+    seed=None,
 ) -> float:
     """Long-run fraction of steps the trajectory spends in the given profile set."""
-    rng = np.random.default_rng() if rng is None else rng
     dynamics = LogitDynamics(game, beta)
     if start is None:
         start = (0,) * game.num_players
-    trajectory = dynamics.simulate(start, num_steps, rng=rng)
+    trajectory = dynamics.simulate(start, num_steps, seed=seed)
     if burn_in is None:
         burn_in = num_steps // 10
     indices = game.space.encode_many(trajectory[burn_in:])

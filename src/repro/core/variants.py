@@ -53,6 +53,8 @@ from .logit import (
     EngineBackedDynamics,
     LogitDynamics,
     LogitRule,
+    _replica_zero_generator,
+    _sequential_loop_draws,
     logit_update_distribution,
 )
 from .stationary import check_beta
@@ -141,7 +143,7 @@ class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
         self,
         start: Sequence[int] | np.ndarray,
         num_steps: int,
-        rng: np.random.Generator | None = None,
+        seed=None,
         record_every: int = 1,
     ) -> np.ndarray:
         """Scalar pure-Python reference implementation of :meth:`simulate`.
@@ -151,7 +153,7 @@ class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
         :class:`~repro.engine.kernels.ParallelKernel` with one replica, so
         the two match bit-for-bit under a fixed seed.
         """
-        rng = np.random.default_rng() if rng is None else rng
+        g = _replica_zero_generator(seed)
         record_every = max(int(record_every), 1)
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
@@ -160,7 +162,7 @@ class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
         snapshots = [profile.copy()]
         for t in range(num_steps):
             idx = space.encode(profile)
-            uniforms = rng.random(space.num_players)
+            uniforms = g.random(space.num_players)
             new = np.empty_like(profile)
             for player in range(space.num_players):
                 probs = self.update_distribution(idx, player)
@@ -248,7 +250,7 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
         self,
         start: Sequence[int] | np.ndarray,
         num_steps: int,
-        rng: np.random.Generator | None = None,
+        seed=None,
         record_every: int = 1,
     ) -> np.ndarray:
         """Scalar pure-Python reference implementation of :meth:`simulate`.
@@ -260,7 +262,7 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
         replica, so the two match bit-for-bit under a fixed seed (and at
         ``p = 1`` both match :class:`ParallelLogitDynamics`).
         """
-        rng = np.random.default_rng() if rng is None else rng
+        g = _replica_zero_generator(seed)
         record_every = max(int(record_every), 1)
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
@@ -272,8 +274,8 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
             if self.p >= 1.0:
                 update = np.ones(space.num_players, dtype=bool)
             else:
-                update = rng.random(space.num_players) < self.p
-            uniforms = rng.random(space.num_players)
+                update = g.random(space.num_players) < self.p
+            uniforms = g.random(space.num_players)
             new = profile.copy()
             for player in range(space.num_players):
                 if not update[player]:
@@ -394,28 +396,25 @@ class BestResponseDynamics(EngineBackedDynamics):
         self,
         start: Sequence[int] | np.ndarray,
         num_steps: int,
-        rng: np.random.Generator | None = None,
+        seed=None,
         record_every: int = 1,
     ) -> np.ndarray:
         """Scalar pure-Python reference implementation of :meth:`simulate`.
 
-        Draw order (all players for the run, then all uniforms) mirrors the
-        sequential kernel's bulk pre-draw, so engine trajectories match this
-        loop bit-for-bit under a fixed seed.
+        Reads movers and uniforms in the sequential kernel's block layout,
+        so engine trajectories match this loop bit-for-bit under a fixed
+        seed.
         """
-        rng = np.random.default_rng() if rng is None else rng
         record_every = max(int(record_every), 1)
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
         if profile.shape != (space.num_players,):
             raise ValueError("start profile has wrong length")
         snapshots = [profile.copy()]
-        players = rng.integers(0, space.num_players, size=num_steps)
-        uniforms = rng.random(num_steps)
-        for t in range(num_steps):
-            i = int(players[t])
+        draws = _sequential_loop_draws(seed, space.num_players, num_steps)
+        for t, (i, u) in enumerate(draws):
             probs = self.update_distribution(space.encode(profile), i)
-            profile[i] = sample_inverse_cdf(probs, float(uniforms[t]))
+            profile[i] = sample_inverse_cdf(probs, u)
             if (t + 1) % record_every == 0:
                 snapshots.append(profile.copy())
         return np.asarray(snapshots, dtype=np.int64)
@@ -545,16 +544,15 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
         self,
         start: Sequence[int] | np.ndarray,
         num_steps: int,
-        rng: np.random.Generator | None = None,
+        seed=None,
         record_every: int = 1,
     ) -> np.ndarray:
         """Scalar pure-Python reference implementation of :meth:`simulate`.
 
-        Draw order (all players for the run, then all uniforms) mirrors the
-        annealed kernel's bulk pre-draw, so engine trajectories match this
+        Reads movers and uniforms in the sequential kernel's block layout
+        (the annealed kernel's stream), so engine trajectories match this
         loop bit-for-bit under a fixed seed.
         """
-        rng = np.random.default_rng() if rng is None else rng
         record_every = max(int(record_every), 1)
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
@@ -562,14 +560,12 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
             raise ValueError("start profile has wrong length")
         self.validate_horizon(0, int(num_steps))
         snapshots = [profile.copy()]
-        players = rng.integers(0, space.num_players, size=num_steps)
-        uniforms = rng.random(num_steps)
-        for t in range(num_steps):
+        draws = _sequential_loop_draws(seed, space.num_players, num_steps)
+        for t, (i, u) in enumerate(draws):
             beta = self.beta_at(t)
-            i = int(players[t])
             utilities = self.game.utility_deviations(i, space.encode(profile))
             probs = logit_update_distribution(utilities, beta)
-            profile[i] = sample_inverse_cdf(probs, float(uniforms[t]))
+            profile[i] = sample_inverse_cdf(probs, u)
             if (t + 1) % record_every == 0:
                 snapshots.append(profile.copy())
         return np.asarray(snapshots, dtype=np.int64)
@@ -595,10 +591,10 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
     (uniform-selection) dynamics isolates the effect of the player-selection
     rule, one of the variations the paper's conclusions raise.
 
-    On the engine the cyclic cursor lives in the simulator's kernel state:
-    it advances exactly once per step and is untouched by snapshot
-    recording or by splitting a run into several ``run`` calls, so
-    recording mid-round never desyncs the player order.
+    On the engine the cyclic cursor is the simulator's step counter: it
+    advances exactly once per step and is untouched by snapshot recording
+    or by splitting a run into several ``run`` calls, so recording
+    mid-round never desyncs the player order.
     """
 
     def __init__(self, game: Game, beta: float):
@@ -641,7 +637,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
         self,
         start: Sequence[int] | np.ndarray,
         num_steps: int,
-        rng: np.random.Generator | None = None,
+        seed=None,
         record_every: int = 1,
     ) -> np.ndarray:
         """Scalar pure-Python reference implementation of :meth:`simulate`.
@@ -651,7 +647,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
         random-stream contract as the batched
         :class:`~repro.engine.kernels.RoundRobinKernel` with one replica.
         """
-        rng = np.random.default_rng() if rng is None else rng
+        g = _replica_zero_generator(seed)
         record_every = max(int(record_every), 1)
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
@@ -662,7 +658,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
             player = t % space.num_players
             utilities = self.game.utility_deviations(player, space.encode(profile))
             probs = logit_update_distribution(utilities, self.beta)
-            profile[player] = sample_inverse_cdf(probs, float(rng.random()))
+            profile[player] = sample_inverse_cdf(probs, float(g.random()))
             if (t + 1) % record_every == 0:
                 snapshots.append(profile.copy())
         return np.asarray(snapshots, dtype=np.int64)

@@ -17,17 +17,11 @@ for the full contract):
   (:class:`~repro.engine.kernels.ProbabilisticKernel`, the concurrent
   schedule of arXiv 1207.2908; ``p = 1`` recovers the parallel kernel
   bit-for-bit), a cyclic cursor
-  (:class:`~repro.engine.kernels.RoundRobinKernel`), a sequential mover
+  (:class:`~repro.engine.kernels.RoundRobinKernel`) or a sequential mover
   under a time-varying ``beta_t`` schedule
-  (:class:`~repro.engine.kernels.AnnealedKernel`), or any of the seeded
-  per-replica-stream variants
-  (:class:`~repro.engine.kernels.SeededSequentialKernel`,
-  :class:`~repro.engine.kernels.SeededParallelKernel`,
-  :class:`~repro.engine.kernels.SeededProbabilisticKernel` — the
-  chunk-size-invariant sampling modes behind the adaptive estimators,
-  dispatched by :func:`~repro.engine.kernels.seeded_kernel_for`; see
-  :meth:`EnsembleSimulator.seeded
-  <repro.engine.ensemble.EnsembleSimulator.seeded>`);
+  (:class:`~repro.engine.kernels.AnnealedKernel`).  Every kernel draws
+  from one stream per replica (``seed=``), so pooled samples are
+  invariant to chunk size and shard count;
 * a **rule** supplies the mover's move distribution — the logit softmax
   (:class:`~repro.core.logit.LogitDynamics` and every variant class) or the
   uniform-over-argmax best response
@@ -54,13 +48,12 @@ Components:
   gather -> deviation -> softmax -> sample into one compiled kernel for
   local-interaction games (graceful numpy fallback when numba is absent).
 
-Shard-aware seeding: :meth:`SeededSequentialKernel.spawn_block
-<repro.engine.kernels.SeededSequentialKernel.spawn_block>` reconstructs
-any block of a master seed's children from ``(root, offset, count)``
-alone — no shared spawn cursor — which is the primitive the sharded
-multi-process executors (:mod:`repro.parallel`) distribute replicas
-with, and the reason pooled results are bit-for-bit invariant to the
-shard count.
+Shard-aware seeding: :func:`~repro.engine.kernels.spawn_block`
+reconstructs any block of a master seed's children from ``(root, offset,
+count)`` alone — no shared spawn cursor — which is the primitive the
+sharded multi-process executors (:mod:`repro.parallel`) distribute
+replicas with, and the reason pooled results are bit-for-bit invariant to
+the shard count.
 """
 
 from .backend import (
@@ -77,12 +70,10 @@ from .kernels import (
     ParallelKernel,
     ProbabilisticKernel,
     RoundRobinKernel,
-    SeededParallelKernel,
-    SeededProbabilisticKernel,
-    SeededSequentialKernel,
     SequentialKernel,
     UpdateKernel,
-    seeded_kernel_for,
+    replica_seeds,
+    spawn_block,
 )
 from .sampling import sample_from_cumulative, sample_inverse_cdf
 from .state import EngineState, IndexState, MatrixState, strategy_dtype
@@ -100,14 +91,12 @@ __all__ = [
     "strategy_dtype",
     "UpdateKernel",
     "SequentialKernel",
-    "SeededSequentialKernel",
     "ParallelKernel",
     "ProbabilisticKernel",
-    "SeededParallelKernel",
-    "SeededProbabilisticKernel",
-    "seeded_kernel_for",
     "RoundRobinKernel",
     "AnnealedKernel",
+    "replica_seeds",
+    "spawn_block",
     "maximal_coupling_update_many",
     "simulate_grand_coupling_ensemble",
     "sample_from_cumulative",

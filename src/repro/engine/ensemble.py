@@ -60,12 +60,7 @@ import numpy as np
 from ..games.space import DENSE_PROFILE_CAP
 from ..obs import as_tracer
 from .backend import ArrayBackend, resolve_backend
-from .kernels import (
-    SeededSequentialKernel,
-    SequentialKernel,
-    UpdateKernel,
-    seeded_kernel_for,
-)
+from .kernels import SequentialKernel, UpdateKernel, replica_seeds
 from .sampling import sample_from_cumulative, sample_inverse_cdf
 from .state import EngineState, IndexState, MatrixState
 
@@ -102,8 +97,18 @@ class EnsembleSimulator:
     start_indices:
         ``(R,)`` array of per-replica profile indices; mutually exclusive
         with ``start``.
-    rng:
-        Numpy random generator (a fresh default generator if omitted).
+    seed:
+        The replicas' randomness.  Every replica draws from its own
+        generator, so its trajectory is a pure function of its own seed:
+        a master seed (``None`` for fresh entropy, an int or a
+        :class:`numpy.random.SeedSequence`) gives replica ``r`` the
+        ``r``-th child, whatever the replica count; a sequence of
+        ``num_replicas`` per-replica seeds (``SeedSequence`` children,
+        ints, or ``Generator`` objects to continue) is used as-is (see
+        :func:`~repro.engine.kernels.replica_seeds`).  Consecutive
+        ``run`` / first-passage calls continue each replica's stream where
+        it stopped, so split runs equal one-shot runs and replica chunks
+        of any size pool into identical samples.
     mode:
         ``"matrix_free"``, ``"gather"``, or ``"auto"`` (gather when the
         state is index-backed and the profile space has at most
@@ -147,7 +152,7 @@ class EnsembleSimulator:
     >>> from repro.games import IsingGame
     >>> game = IsingGame(nx.cycle_graph(4), coupling=1.0)
     >>> dynamics = LogitDynamics(game, beta=0.8)
-    >>> sim = dynamics.ensemble(32, start=(0, 0, 0, 0), rng=np.random.default_rng(0))
+    >>> sim = dynamics.ensemble(32, start=(0, 0, 0, 0), seed=0)
     >>> sim.run(500)
     >>> sim.profiles.shape
     (32, 4)
@@ -163,7 +168,7 @@ class EnsembleSimulator:
         dynamics,
         num_replicas: int,
         start: Sequence[int] | np.ndarray | int | None = None,
-        rng: np.random.Generator | None = None,
+        seed=None,
         mode: str = "auto",
         gather_cap: int = 1 << 16,
         start_indices: np.ndarray | None = None,
@@ -186,7 +191,7 @@ class EnsembleSimulator:
         self.game = self.kernel.game
         self.space = self.game.space
         self.num_replicas = int(num_replicas)
-        self.rng = np.random.default_rng() if rng is None else rng
+        self.seeds = replica_seeds(seed, self.num_replicas)
         self.backend = resolve_backend(backend, tracer=self.tracer)
         if state == "auto":
             # fused backend kernels only exist over the strategy matrix, so
@@ -289,61 +294,6 @@ class EnsembleSimulator:
             )
         self.reset(start, start_indices=start_indices)
 
-    @classmethod
-    def seeded(
-        cls,
-        dynamics,
-        seeds,
-        start: Sequence[int] | np.ndarray | int | None = None,
-        start_indices: np.ndarray | None = None,
-        mode: str = "auto",
-        state: str = "auto",
-        backend: str | ArrayBackend | None = "numpy",
-        block_size: int = 256,
-        tracer=None,
-    ) -> "EnsembleSimulator":
-        """An ensemble with one independent random stream per replica.
-
-        Builds the simulator around the seeded counterpart of the
-        dynamics' own kernel
-        (:func:`~repro.engine.kernels.seeded_kernel_for`): sequential
-        dynamics get a
-        :class:`~repro.engine.kernels.SeededSequentialKernel`, concurrent
-        (parallel / probabilistic-schedule) dynamics their
-        :class:`~repro.engine.kernels.SeededParallelKernel` /
-        :class:`~repro.engine.kernels.SeededProbabilisticKernel`; kernels
-        without a seeded counterpart raise.  Replica ``r`` draws all of
-        its randomness from ``seeds[r]`` (a
-        :class:`numpy.random.SeedSequence` child, raw int, or pre-built
-        generator), so its trajectory is a pure function of its own seed.
-        This is the chunked/resumable run mode the adaptive estimators
-        use: replica chunks of any size pool into bit-for-bit identical
-        samples, and consecutive ``run`` / first-passage calls continue
-        each stream where the previous call stopped.  ``block_size`` only
-        affects the sequential seeded kernel (it is part of that kernel's
-        stream definition); the concurrent kernels draw whole per-sweep
-        rows instead.
-        """
-        seeds = list(seeds)
-        kernel = dynamics.kernel() if hasattr(dynamics, "kernel") else None
-        if kernel is None:
-            seeded_kernel: UpdateKernel = SeededSequentialKernel(
-                dynamics, seeds, block_size=block_size
-            )
-        else:
-            seeded_kernel = seeded_kernel_for(kernel, seeds, block_size=block_size)
-        return cls(
-            dynamics,
-            len(seeds),
-            start=start,
-            start_indices=start_indices,
-            mode=mode,
-            state=state,
-            backend=backend,
-            kernel=seeded_kernel,
-            tracer=tracer,
-        )
-
     # -- state ------------------------------------------------------------
 
     def reset(
@@ -354,8 +304,11 @@ class EnsembleSimulator:
     ) -> None:
         """(Re-)initialise every replica from ``start`` (see class docs).
 
-        Also resets the kernel's per-simulator state (round-robin cursor,
-        annealed step counter) — a reset restarts the dynamics from time 0.
+        Also resets the kernel's per-simulator state — the per-replica
+        generators (``SeedSequence`` and int seeds replay their streams from
+        scratch, ``Generator`` seeds continue) and the step counter that
+        drives the round-robin cursor and the annealed schedule — so a
+        reset restarts the dynamics from time 0.
         """
         self.kernel_state = self.kernel.init_state(self)
         self.state.init(self.num_replicas, start, start_indices)
@@ -506,15 +459,13 @@ class EnsembleSimulator:
     def run(self, num_steps: int, record_every: int | None = None) -> np.ndarray | None:
         """Advance the ensemble ``num_steps`` steps, optionally recording.
 
-        Randomness is drawn as the kernel prescribes — the sequential
-        kernels pre-draw every player and uniform for the whole run (players
-        first, then uniforms), so for ``R = 1`` the random stream — and
-        hence the trajectory — is *identical* to the single-replica
+        Each replica draws from its own stream as the kernel prescribes, so
+        for ``R = 1`` the trajectory is *identical* to the single-replica
         reference loop (:meth:`repro.core.logit.LogitDynamics.simulate_loop`
-        and the variant ``simulate_loop`` methods) under the same generator
-        state.  Recording only copies the state array; it never touches the
-        kernel's bookkeeping (round-robin cursor, annealed step counter), so
-        snapshots cannot desync the dynamics.
+        and the variant ``simulate_loop`` methods) under the same seed.
+        Recording only copies the state array; it never touches the
+        kernel's bookkeeping (step counter, draw cursors), so snapshots
+        cannot desync the dynamics.
 
         Returns ``None`` when ``record_every`` is ``None``; otherwise the
         recorded snapshots as a ``(k, R, n)`` int array whose first entry is
@@ -560,6 +511,8 @@ class EnsembleSimulator:
         search is clamped to the remaining schedule, so exhaustion reads as
         ``-1`` (not reached) rather than a mid-run error.
         """
+        if max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         tracer = self.tracer
         tic = perf_counter() if tracer.enabled else 0.0
         advanced = 0
@@ -567,7 +520,7 @@ class EnsembleSimulator:
         inside = in_target(None)
         times[inside] = 0
         active = np.flatnonzero(~inside)
-        budget = self.kernel.remaining_steps(self)
+        budget = self.kernel.remaining_steps(self.kernel_state["step"])
         if budget is not None:
             max_steps = min(int(max_steps), budget)
         for t in range(1, max_steps + 1):

@@ -9,7 +9,7 @@ number.
   chunk of per-sample ``SeedSequence`` children into contiguous shards
   and runs them serially or on a process pool.  Because sample ``i`` is a
   pure function of seed child ``i`` (the
-  :meth:`~repro.engine.SeededSequentialKernel.spawn_block` contract),
+  :func:`~repro.engine.kernels.spawn_block` contract),
   pooled samples — and every estimate and confidence sequence built from
   them — are bit-for-bit identical for any shard count.  Plugs into
   :func:`repro.stats.run_until_width` and every ``precision=`` estimator

@@ -6,7 +6,7 @@ the pooled sample stream a pure function of the master seed — independent
 of how the budget is chunked.  This module extends that purity to *process
 boundaries*: a chunk of children is split into contiguous shards
 (:func:`shard_plan`), each shard reconstructs its own seed block with
-:meth:`repro.engine.SeededSequentialKernel.spawn_block` (no shared spawn
+:func:`repro.engine.kernels.spawn_block` (no shared spawn
 cursor, so shards need no coordination), evaluates the caller's sampler on
 it, and the coordinator pools the per-shard sample arrays back **in sample
 order**.  Pooled samples — and therefore every downstream estimate and
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..engine.kernels import SeededSequentialKernel
+from ..engine.kernels import spawn_block
 from ..obs import as_tracer
 from ..stats.accumulators import StreamingMoments
 
@@ -148,7 +148,7 @@ def _sample_shard(
     positions.
     """
     tic = perf_counter()
-    children = SeededSequentialKernel.spawn_block(root, start, count)
+    children = spawn_block(root, start, count)
     samples = np.asarray(sampler(children), dtype=float)
     seconds = perf_counter() - tic
     if samples.shape != (count,):

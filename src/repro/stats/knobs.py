@@ -1,16 +1,15 @@
 """Shared knob validation for the adaptive / fixed estimator modes.
 
 Every estimator in the package exposes the same pair of mutually exclusive
-modes — the legacy fixed-replica path (``num_replicas=`` sized, ``rng=``
-seeded, one shared stream) and the adaptive path (``precision=`` stopped,
-``seed=`` seeded, one ``SeedSequence`` child per sample) — and the same
+modes — the fixed-replica path (``num_replicas=`` sized) and the adaptive
+path (``precision=`` stopped, ``max_replicas=`` budgeted) — both seeded
+by ``seed=`` with one ``SeedSequence`` child per replica, and the same
 failure mode: accepting a knob that belongs to the *other* mode and
-silently ignoring it would change what the caller asked for.  The
-rejections used to be re-implemented per module with drifting wording;
-this module is the single definition site, with one uniform message per
-conflict, used by :mod:`repro.core.metastability`,
-:mod:`repro.core.mixing`, :mod:`repro.analysis.sweep` and the
-:class:`~repro.stats.stream.SampleDriver` itself.
+silently ignoring it would change what the caller asked for.  This module
+is the single definition site of those rejections, with one uniform
+message per conflict, used by :mod:`repro.core.metastability`,
+:mod:`repro.analysis.sweep`, :mod:`repro.analysis.welfare` and
+:func:`~repro.stats.adaptive.run_until_width`.
 """
 
 from __future__ import annotations
@@ -19,42 +18,33 @@ __all__ = [
     "reject_fixed_mode_knobs",
     "reject_executor_without_precision",
     "reject_quantile_knob_conflicts",
-    "reject_seed_rng_conflict",
-    "reject_rng_with_sharded_driver",
-    "reject_seed_without_sharded_driver",
     "require_store_seed",
     "require_executor_seed",
 ]
 
 
-def reject_fixed_mode_knobs(num_replicas, rng) -> None:
-    """Adaptive mode sizes and seeds the run itself; accepting-and-ignoring
-    the fixed-mode knobs would silently change what the caller asked for."""
+def reject_fixed_mode_knobs(num_replicas) -> None:
+    """Adaptive mode sizes the run itself; accepting-and-ignoring the
+    fixed-mode replica count would silently change what the caller asked
+    for."""
     if num_replicas is not None:
         raise ValueError(
             "num_replicas is the fixed-mode replica count; adaptive "
             "(precision=) mode chooses its own sample size — set the budget "
             "with max_replicas instead"
         )
-    if rng is not None:
-        raise ValueError(
-            "rng seeds the fixed-mode run; adaptive (precision=) mode draws "
-            "per-replica streams from SeedSequence children — pass seed= "
-            "(an int or SeedSequence) for reproducibility"
-        )
 
 
 def reject_executor_without_precision(
-    precision, executor, fixed_path: str = "runs one shared-rng ensemble"
+    precision, executor, fixed_path: str = "runs one in-process ensemble"
 ) -> None:
     """``executor=`` only shards adaptive chunk samplers; refuse elsewhere.
 
-    The fixed-replica path advances one ensemble from a single shared
-    ``rng`` stream, which cannot be split across processes without
-    changing the samples — accepting-and-ignoring the knob would silently
-    run serial.  ``fixed_path`` names the caller's fixed path in the
-    message (e.g. ``"runs one shared-rng ensemble per size"`` for the
-    sweeps) without changing the uniform wording around it.
+    The fixed-replica path advances one in-process ensemble, so
+    accepting-and-ignoring the knob would silently run serial.
+    ``fixed_path`` names the caller's fixed path in the message (e.g.
+    ``"runs one in-process ensemble per size"`` for the sweeps) without
+    changing the uniform wording around it.
     """
     if precision is None and executor is not None:
         raise ValueError(
@@ -79,31 +69,6 @@ def reject_quantile_knob_conflicts(q, precision_quantile, support) -> None:
         )
 
 
-def reject_seed_rng_conflict(seed, rng) -> None:
-    """``seed=`` and ``rng=`` select different randomness contracts."""
-    if seed is not None and rng is not None:
-        raise ValueError("pass seed= or rng=, not both")
-
-
-def reject_rng_with_sharded_driver(rng) -> None:
-    """The sharded drivers run per-replica streams, never a shared ``rng``."""
-    if rng is not None:
-        raise ValueError(
-            "rng drives the serial ensemble; the sharded (executor=) "
-            "driver seeds one stream per replica — pass seed= instead"
-        )
-
-
-def reject_seed_without_sharded_driver(seed) -> None:
-    """A dangling ``seed=`` on a serial ``rng=`` path is a mode confusion."""
-    if seed is not None:
-        raise ValueError(
-            "seed= selects the sharded (executor=) driver's per-replica "
-            "streams; the serial path is driven by rng= — pass one or the "
-            "other, not a dangling seed"
-        )
-
-
 def require_store_seed(store, seed) -> None:
     """A stored cell must be a pure function of its spec — which needs a seed.
 
@@ -124,9 +89,8 @@ def require_executor_seed(executor, seed) -> None:
 
     The sharded drivers are seeded by per-cell master-seed children; a
     sweep run with ``executor=`` but no ``seed=`` would draw fresh
-    entropy per cell, making the run irreproducible and (in the family
-    sweep) colliding with the legacy shared-``rng`` plumbing.  Direct
-    estimator calls may still run seedless; sweeps must not.
+    entropy per cell, making the run irreproducible.  Direct estimator
+    calls may still run seedless; sweeps must not.
     """
     if executor is not None and seed is None:
         raise ValueError(

@@ -110,9 +110,11 @@ class SampleDriver:
 
         if max_n < 1:
             raise ValueError("max_n must be positive")
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be positive")
         self._tracer = as_tracer(tracer)
         self._sampler = sampler
-        self._chunk_size = max(int(chunk_size), 1)
+        self._chunk_size = int(chunk_size)
         self._max_n = int(max_n)
         self._keep_samples = bool(keep_samples)
         self._sharder, self._owned = claim_executor(executor)

@@ -1,10 +1,10 @@
 """Tests for adaptive (chunked, interval-returning) Monte-Carlo estimators.
 
-Covers the engine's per-replica seeded streams
-(:class:`repro.engine.SeededSequentialKernel`), the deterministic-chunking
-contract of the adaptive estimators, the ``precision=None`` backward-
-compatibility guarantee, and the ``converged`` / ``-1`` sentinel semantics
-of the ensemble mixing estimators.
+Covers the engine's per-replica seeded streams (``seed=`` of
+:class:`repro.engine.EnsembleSimulator`), the deterministic-chunking
+contract of the adaptive estimators, the fixed-replica path's agreement
+with the adaptive sample stream, and the ``converged`` / ``-1`` sentinel
+semantics of the ensemble mixing estimators.
 """
 
 from __future__ import annotations
@@ -25,8 +25,13 @@ from repro.core import (
     estimate_mixing_time_ensemble,
     estimate_tv_convergence,
 )
-from repro.core.variants import RoundRobinLogitDynamics
-from repro.engine import EnsembleSimulator, SeededSequentialKernel
+from repro.core.variants import (
+    AnnealedLogitDynamics,
+    ConcurrentLogitDynamics,
+    RoundRobinLogitDynamics,
+)
+from repro.engine import EnsembleSimulator
+from repro.stats import SampleDriver
 from repro.games import IsingGame, TwoWellGame
 from repro.stats import StreamingEstimate
 
@@ -58,9 +63,7 @@ class TestSeededKernel:
             remaining = total
             while remaining:
                 k = min(chunk_size, remaining)
-                sim = EnsembleSimulator.seeded(
-                    dynamics, root.spawn(k), start=(0,) * 6
-                )
+                sim = dynamics.ensemble(k, seed=root.spawn(k), start=(0,) * 6)
                 out.append(sim.hitting_times(target, max_steps=5000))
                 remaining -= k
             return np.concatenate(out)
@@ -72,10 +75,10 @@ class TestSeededKernel:
     def test_runs_are_resumable(self, ring6_game):
         dynamics = LogitDynamics(ring6_game, 0.8)
         seeds = np.random.SeedSequence(3).spawn(8)
-        one_shot = EnsembleSimulator.seeded(dynamics, seeds, start=(0,) * 6)
+        one_shot = dynamics.ensemble(8, seed=seeds, start=(0,) * 6)
         one_shot.run(120)
-        split = EnsembleSimulator.seeded(
-            dynamics, np.random.SeedSequence(3).spawn(8), start=(0,) * 6
+        split = dynamics.ensemble(
+            8, seed=np.random.SeedSequence(3).spawn(8), start=(0,) * 6
         )
         split.run(40)
         split.run(80)
@@ -88,11 +91,11 @@ class TestSeededKernel:
         dynamics = LogitDynamics(ring6_game, 1.0)
         target = consensus_target(ring6_game)
         seeds = np.random.SeedSequence(77).spawn(8)
-        mixed = EnsembleSimulator.seeded(dynamics, seeds, start=(0,) * 6)
+        mixed = dynamics.ensemble(8, seed=seeds, start=(0,) * 6)
         times = mixed.hitting_times(target, max_steps=400)
         mixed.run(300)  # documented resumable usage after retirement
         for r, seed in enumerate(np.random.SeedSequence(77).spawn(8)):
-            solo = EnsembleSimulator.seeded(dynamics, [seed], start=(0,) * 6)
+            solo = dynamics.ensemble(1, seed=[seed], start=(0,) * 6)
             solo_time = solo.hitting_times(target, max_steps=400)[0]
             solo.run(300)
             assert solo_time == times[r]
@@ -101,10 +104,37 @@ class TestSeededKernel:
                 err_msg=f"replica {r} desynced from its own stream",
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**31 + 1])
+    def test_block_decoder_matches_numpy_calls(self, n):
+        """The vectorised block refill is bit-for-bit g.integers(0, n, 256)
+        then g.random(256) per generator — including generators holding a
+        buffered 32-bit half, other bit generators, and Lemire rejections
+        (frequent at n = 2**31 + 1), which take the direct calls."""
+        from repro.engine.kernels import _fill_sequential_blocks
+
+        def generators():
+            gens = [np.random.default_rng(s) for s in range(24)]
+            gens[3].integers(0, 10, size=3)  # leaves a buffered half
+            gens[5] = np.random.Generator(np.random.MT19937(5))
+            return gens
+
+        gens, reference = generators(), generators()
+        bits = [g.bit_generator for g in gens]
+        clean = np.zeros(len(gens), dtype=bool)
+        players = np.empty((256, len(gens)), dtype=np.int64)
+        uniforms = np.empty((256, len(gens)))
+        raw = np.empty((len(gens), 384), dtype=np.uint64)
+        for _ in range(3):
+            _fill_sequential_blocks(gens, bits, clean, n, players, uniforms, raw)
+            for j, g in enumerate(reference):
+                np.testing.assert_array_equal(players[:, j], g.integers(0, n, size=256))
+                np.testing.assert_array_equal(uniforms[:, j], g.random(256))
+        assert [g.random() for g in gens] == [g.random() for g in reference]
+
     def test_reset_replays_seed_sequences(self, ring6_game):
         dynamics = LogitDynamics(ring6_game, 0.8)
-        sim = EnsembleSimulator.seeded(
-            dynamics, np.random.SeedSequence(11).spawn(4), start=(0,) * 6
+        sim = dynamics.ensemble(
+            4, seed=np.random.SeedSequence(11).spawn(4), start=(0,) * 6
         )
         sim.run(60)
         first = sim.profiles
@@ -116,9 +146,9 @@ class TestSeededKernel:
         """Per-replica streams work index-free on 100-player games."""
         game = IsingGame(nx.cycle_graph(100), coupling=1.0)
         dynamics = LogitDynamics(game, 0.7)
-        sim = EnsembleSimulator.seeded(
-            dynamics,
-            np.random.SeedSequence(5).spawn(4),
+        sim = dynamics.ensemble(
+            4,
+            seed=np.random.SeedSequence(5).spawn(4),
             start=np.zeros(100, dtype=np.int64),
         )
         assert sim.state.kind == "matrix"
@@ -128,22 +158,43 @@ class TestSeededKernel:
 
     def test_replica_count_mismatch_rejected(self, ring6_game):
         dynamics = LogitDynamics(ring6_game, 1.0)
-        kernel = SeededSequentialKernel(dynamics, np.random.SeedSequence(0).spawn(3))
         with pytest.raises(ValueError, match="per-replica streams"):
-            EnsembleSimulator(dynamics, 5, kernel=kernel)
+            EnsembleSimulator(dynamics, 5, seed=np.random.SeedSequence(0).spawn(3))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: LogitDynamics(g, 0.9),
+            lambda g: ConcurrentLogitDynamics(g, 0.9, p=0.4),
+            lambda g: RoundRobinLogitDynamics(g, 0.9),
+            lambda g: AnnealedLogitDynamics(g, lambda t: 0.9),
+        ],
+        ids=["sequential", "probabilistic", "round_robin", "annealed"],
+    )
+    def test_replica_does_not_depend_on_replica_count(self, ring6_game, make):
+        """Replica r of ensemble(R, seed=s) is the same trajectory for
+        every R: it runs on child r of s alone."""
+        dynamics = make(ring6_game)
+        finals = []
+        for count in (1, 5, 12):
+            sim = dynamics.ensemble(count, start=(0,) * 6, seed=31)
+            sim.run(300)
+            finals.append(sim.profiles)
+        for profiles in finals[:-1]:
+            np.testing.assert_array_equal(profiles, finals[-1][: len(profiles)])
 
 
 class TestAdaptiveHittingTimes:
-    def test_precision_none_is_bit_for_bit_legacy(self, ring6_game):
+    def test_precision_none_is_the_seeded_engine_path(self, ring6_game):
         """precision=None must reproduce the fixed-replica engine path
-        exactly — same rng consumption, same samples."""
+        exactly — same per-replica streams, same samples."""
         target = consensus_target(ring6_game)
         got = empirical_hitting_times(
             ring6_game, 1.0, 0, target, num_replicas=32, max_steps=3000,
-            rng=np.random.default_rng(77),
+            seed=77,
         )
         sim = LogitDynamics(ring6_game, 1.0).ensemble(
-            32, start=0, rng=np.random.default_rng(77)
+            32, start=0, seed=77
         )
         expected = sim.hitting_times(target, max_steps=3000)
         assert isinstance(got, np.ndarray)
@@ -157,7 +208,7 @@ class TestAdaptiveHittingTimes:
             with pytest.raises(ValueError, match="outside the profile space"):
                 empirical_hitting_times(
                     ring6_game, 1.0, 0, bad, num_replicas=4, max_steps=10,
-                    rng=np.random.default_rng(0),
+                    seed=0,
                 )
         sim = LogitDynamics(ring6_game, 1.0).ensemble(4, start=0)
         with pytest.raises(ValueError, match="outside the profile space"):
@@ -181,12 +232,22 @@ class TestAdaptiveHittingTimes:
         # truncated samples live on [0, max_steps]
         assert est.samples.min() >= 0 and est.samples.max() <= 5000
 
-    def test_adaptive_chunk_size_invariance(self, ring6_game):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: None,
+            lambda g: RoundRobinLogitDynamics(g, 1.0),
+            lambda g: AnnealedLogitDynamics(g, lambda t: 0.5 + 0.002 * t),
+        ],
+        ids=["logit", "round_robin", "annealed"],
+    )
+    def test_adaptive_chunk_size_invariance(self, ring6_game, make):
         target = consensus_target(ring6_game)
         runs = [
             empirical_hitting_times(
                 ring6_game, 1.0, 0, target, max_steps=2000,
                 precision=1e-9, seed=99, chunk_size=k, max_replicas=40,
+                dynamics=make(ring6_game),
             )
             for k in (1, 7, 64)
         ]
@@ -194,14 +255,57 @@ class TestAdaptiveHittingTimes:
         np.testing.assert_array_equal(runs[0].samples, runs[2].samples)
         assert runs[0].estimate == pytest.approx(runs[2].estimate)
 
-    def test_non_seedable_dynamics_rejected(self, ring6_game):
-        # round-robin has no seeded per-replica counterpart (parallel and
-        # probabilistic schedules now do); the error names the supported ones
-        with pytest.raises(ValueError, match="seeded streams"):
-            empirical_hitting_times(
-                ring6_game, 1.0, 0, consensus_target(ring6_game),
-                precision=0.1, dynamics=RoundRobinLogitDynamics(ring6_game, 1.0),
+    def test_fixed_replicas_are_the_first_adaptive_samples(self, ring6_game):
+        """Fixed-replica replica r runs on child r of the seed, like adaptive
+        sample r: with -1 read as the horizon the fixed samples are the
+        first R adaptive ones."""
+        target = consensus_target(ring6_game)
+        fixed = empirical_hitting_times(
+            ring6_game, 1.0, 0, target, num_replicas=24, max_steps=150, seed=8,
+        )
+        adaptive = empirical_hitting_times(
+            ring6_game, 1.0, 0, target, max_steps=150, precision=1e-9,
+            seed=8, chunk_size=16, max_replicas=40,
+        )
+        assert np.any(fixed == -1)
+        np.testing.assert_array_equal(
+            np.where(fixed < 0, 150, fixed), adaptive.samples[:24]
+        )
+
+    def test_round_robin_and_annealed_run_adaptive(self, ring6_game):
+        """Every dynamics has per-replica streams, so the cyclic and the
+        time-inhomogeneous kernels run adaptive too."""
+        target = consensus_target(ring6_game)
+        for dynamics in (
+            RoundRobinLogitDynamics(ring6_game, 1.0),
+            AnnealedLogitDynamics(ring6_game, [1.0] * 100),
+        ):
+            est = empirical_hitting_times(
+                ring6_game, 1.0, 0, target, max_steps=400, precision=1e-9,
+                seed=3, chunk_size=8, max_replicas=16, dynamics=dynamics,
             )
+            assert est.n == 16
+            # the finite schedule caps the annealed horizon at 100 steps
+            assert est.samples.max() <= 400
+
+    def test_negative_max_steps_rejected(self, ring6_game):
+        target = consensus_target(ring6_game)
+        with pytest.raises(ValueError, match="max_steps"):
+            empirical_hitting_times(
+                ring6_game, 1.0, 0, target, num_replicas=4, max_steps=-1
+            )
+        with pytest.raises(ValueError, match="max_steps"):
+            empirical_hitting_times(
+                ring6_game, 1.0, 0, target, max_steps=-1, precision=0.1
+            )
+
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_non_positive_chunk_size_rejected(self, chunk_size):
+        def uniforms(children):
+            return np.array([np.random.default_rng(c).random() for c in children])
+
+        with pytest.raises(ValueError, match="chunk_size"):
+            SampleDriver(uniforms, seed=0, chunk_size=chunk_size, max_n=8)
 
     def test_per_replica_starts_rejected_in_adaptive_mode(self, ring6_game):
         with pytest.raises(ValueError, match="single start"):
@@ -211,18 +315,13 @@ class TestAdaptiveHittingTimes:
             )
 
     def test_fixed_mode_knobs_rejected_in_adaptive_mode(self, ring6_game):
-        """num_replicas / rng belong to the fixed path; accepting and
-        silently ignoring them next to precision= would change what the
-        caller asked for."""
+        """num_replicas belongs to the fixed path; accepting and silently
+        ignoring it next to precision= would change what the caller asked
+        for."""
         target = consensus_target(ring6_game)
         with pytest.raises(ValueError, match="max_replicas"):
             empirical_hitting_times(
                 ring6_game, 1.0, 0, target, num_replicas=20_000, precision=0.1,
-            )
-        with pytest.raises(ValueError, match="seed"):
-            empirical_hitting_times(
-                ring6_game, 1.0, 0, target, precision=0.1,
-                rng=np.random.default_rng(0),
             )
         game = TwoWellGame(num_players=4, barrier=1.5)
         with pytest.raises(ValueError, match="max_replicas"):
@@ -243,20 +342,23 @@ class TestAdaptiveHittingTimes:
 
 
 class TestAdaptiveEscapeTimes:
-    def test_precision_none_is_bit_for_bit_legacy(self):
+    def test_precision_none_is_the_seeded_engine_path(self):
         game = TwoWellGame(num_players=4, barrier=1.5)
         well = lower_well(game)
         got = empirical_escape_times(
             game, 1.2, well, num_replicas=24, max_steps=4000,
-            rng=np.random.default_rng(13),
+            seed=13,
         )
-        # the legacy path: conditional-Gibbs starts then a bulk exit-time run
-        rng = np.random.default_rng(13)
+        # the fixed path: each replica draws its conditional-Gibbs start
+        # from its own stream, which then drives its exit-time run
         phi = game.potential_vector()[well]
         weights = np.exp(-1.2 * (phi - phi.min()))
         weights /= weights.sum()
-        starts = rng.choice(well, size=24, p=weights)
-        sim = LogitDynamics(game, 1.2).ensemble(24, start_indices=starts, rng=rng)
+        gens = [
+            np.random.default_rng(c) for c in np.random.SeedSequence(13).spawn(24)
+        ]
+        starts = well[[g.choice(well.size, p=weights) for g in gens]]
+        sim = LogitDynamics(game, 1.2).ensemble(24, start_indices=starts, seed=gens)
         expected = sim.exit_times(well, max_steps=4000)
         np.testing.assert_array_equal(got, expected)
 
@@ -314,7 +416,7 @@ class TestConvergedSentinel:
         distinguishable from genuine convergence at the last checkpoint."""
         estimate = estimate_mixing_time_ensemble(
             ring6_game, 2.5, num_replicas=64, max_time=30,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         assert not estimate.converged
         assert estimate.capped
@@ -323,7 +425,7 @@ class TestConvergedSentinel:
     def test_converged_run_reports_time_and_flag(self, ring6_game):
         estimate = estimate_mixing_time_ensemble(
             ring6_game, 0.2, num_replicas=512, max_time=5000,
-            rng=np.random.default_rng(1),
+            seed=1,
         )
         assert estimate.converged
         assert not estimate.capped
@@ -335,7 +437,7 @@ class TestConvergedSentinel:
         pi = LogitDynamics(ring6_game, 0.2).stationary_distribution()
         certified = estimate_tv_convergence(
             LogitDynamics(ring6_game, 0.2), pi, num_replicas=4096,
-            epsilon=0.25, max_time=2000, rng=np.random.default_rng(3),
+            epsilon=0.25, max_time=2000, seed=3,
             alpha=0.05,
         )
         assert certified.alpha == 0.05
@@ -349,7 +451,7 @@ class TestConvergedSentinel:
             # certification is stricter than the point-estimate rule
             point = estimate_tv_convergence(
                 LogitDynamics(ring6_game, 0.2), pi, num_replicas=4096,
-                epsilon=0.25, max_time=2000, rng=np.random.default_rng(3),
+                epsilon=0.25, max_time=2000, seed=3,
             )
             assert certified.mixing_time_estimate >= point.mixing_time_estimate
 
@@ -358,7 +460,7 @@ class TestConvergedSentinel:
         pi = LogitDynamics(ring6_game, 0.3).stationary_distribution()
         a = estimate_tv_convergence(
             LogitDynamics(ring6_game, 0.3), pi, num_replicas=256,
-            max_time=1000, rng=np.random.default_rng(5),
+            max_time=1000, seed=5,
         )
         assert a.tv_band is None and a.alpha is None
         assert a.converged == (not a.capped)
@@ -391,7 +493,7 @@ class TestStationaryWelfareEstimator:
 
     def test_index_free_welfare_matches_gather(self, ring6_game):
         sim = LogitDynamics(ring6_game, 0.5).ensemble(
-            32, rng=np.random.default_rng(0)
+            32, seed=0
         )
         sim.run(50)
         np.testing.assert_allclose(
@@ -407,12 +509,15 @@ class TestStationaryWelfareEstimator:
         assert isinstance(est, StreamingEstimate)
         assert np.isfinite(est.lower) and np.isfinite(est.upper)
 
-    def test_non_seedable_dynamics_rejected(self, ring6_game):
-        with pytest.raises(ValueError, match="seeded streams"):
+    def test_round_robin_dynamics_is_chunk_invariant(self, ring6_game):
+        runs = [
             estimate_stationary_welfare(
-                ring6_game, 0.5, num_steps=50,
-                dynamics=RoundRobinLogitDynamics(ring6_game, 0.5),
+                ring6_game, 0.5, num_steps=50, seed=6, num_replicas=20,
+                chunk_size=k, dynamics=RoundRobinLogitDynamics(ring6_game, 0.5),
             )
+            for k in (3, 20)
+        ]
+        np.testing.assert_array_equal(runs[0].samples, runs[1].samples)
 
     def test_non_positive_precision_rejected(self, ring6_game):
         with pytest.raises(ValueError, match="precision"):
@@ -477,7 +582,7 @@ class TestSweepPropagation:
             {"sequential": lambda g: LogitDynamics(g, 0.3)},
             num_replicas=256,
             max_time=2000,
-            rng=np.random.default_rng(8),
+            seed=8,
         )
         extra = result.records[0].extra
         assert extra["welfare_lower"] <= extra["mean_welfare"]

@@ -129,11 +129,11 @@ class TestNumbaFallback:
     def test_fallback_trajectories_match_numpy(self, no_numba, ring12_ising):
         dynamics = LogitDynamics(ring12_ising, 1.0)
         reference = dynamics.ensemble(
-            8, rng=np.random.default_rng(13), state="matrix", backend="numpy"
+            8, seed=13, state="matrix", backend="numpy"
         ).run(200, record_every=1)
         with pytest.warns(RuntimeWarning, match="falling back"):
             fallback_sim = dynamics.ensemble(
-                8, rng=np.random.default_rng(13), state="matrix", backend="numba"
+                8, seed=13, state="matrix", backend="numba"
             )
         assert fallback_sim.backend.name == "numpy"
         np.testing.assert_array_equal(
@@ -197,11 +197,11 @@ class TestKernelGridEquivalence:
         for dynamics in _softmax_dynamics(game):
             label = type(dynamics).__name__
             numpy_run = dynamics.ensemble(
-                16, start=start, rng=np.random.default_rng(11),
+                16, start=start, seed=11,
                 state="matrix", backend="numpy",
             ).run(250, record_every=1)
             numba_run = _quiet_ensemble(
-                dynamics, 16, start=start, rng=np.random.default_rng(11),
+                dynamics, 16, start=start, seed=11,
                 state="matrix", backend="numba",
             ).run(250, record_every=1)
             np.testing.assert_array_equal(
@@ -215,11 +215,11 @@ class TestKernelGridEquivalence:
         for dynamics in _softmax_dynamics(game):
             label = type(dynamics).__name__
             index_run = dynamics.ensemble(
-                16, start=start, rng=np.random.default_rng(29),
+                16, start=start, seed=29,
                 state="index", mode="matrix_free", backend="numpy",
             ).run(250, record_every=1)
             numba_run = _quiet_ensemble(
-                dynamics, 16, start=start, rng=np.random.default_rng(29),
+                dynamics, 16, start=start, seed=29,
                 state="matrix", backend="numba",
             ).run(250, record_every=1)
             np.testing.assert_array_equal(
@@ -231,7 +231,7 @@ class TestKernelGridEquivalence:
         times = {}
         for backend in ("numpy", "numba"):
             sim = _quiet_ensemble(
-                dynamics, 12, start=(0,) * 12, rng=np.random.default_rng(9),
+                dynamics, 12, start=(0,) * 12, seed=9,
                 state="matrix", backend=backend,
             )
             times[backend] = sim.hitting_times(
@@ -254,7 +254,7 @@ class TestStatisticalCertification:
         intervals = {}
         for backend, seed in (("numpy", 101), ("numba", 202)):
             sim = _quiet_ensemble(
-                dynamics, 32, start=start, rng=np.random.default_rng(seed),
+                dynamics, 32, start=start, seed=seed,
                 state="matrix", backend=backend,
             )
             sim.run(3000)

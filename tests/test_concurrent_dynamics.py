@@ -4,7 +4,7 @@ Covers the :class:`~repro.engine.kernels.ProbabilisticKernel` family and
 :class:`~repro.core.variants.ConcurrentLogitDynamics` end to end:
 
 * random-stream contracts — the scalar loop, the batched engine (both state
-  backends) and the seeded per-replica kernels are bit-for-bit consistent,
+  backends) and the per-replica streams are bit-for-bit consistent,
   and ``p = 1`` consumes exactly the :class:`ParallelKernel` stream;
 * the *parallel trap* property grid — on an even coordination ring the
   concurrent chain's empirical occupation matches its transition-matrix
@@ -40,12 +40,7 @@ from repro.core import (
     theorem1207_mixing_upper,
     theorem1207_stationary_product,
 )
-from repro.engine import EnsembleSimulator, ProbabilisticKernel, seeded_kernel_for
-from repro.engine.kernels import (
-    SeededParallelKernel,
-    SeededProbabilisticKernel,
-    SeededSequentialKernel,
-)
+from repro.engine import ParallelKernel, ProbabilisticKernel
 from repro.games import FiniteOpinionGame, IsingGame, LocalInteractionGame, random_game
 from repro.graphs.topologies import ring_graph
 from repro.markov.tv import total_variation
@@ -76,8 +71,8 @@ def test_p_equal_one_matches_parallel_kernel_stream(ring6_game):
     kernel consumes exactly the ParallelKernel stream — bit-for-bit."""
     par = ParallelLogitDynamics(ring6_game, 0.8)
     conc = ConcurrentLogitDynamics(ring6_game, 0.8, p=1.0)
-    e1 = par.ensemble(5, rng=np.random.default_rng(3))
-    e2 = conc.ensemble(5, rng=np.random.default_rng(3))
+    e1 = par.ensemble(5, seed=3)
+    e2 = conc.ensemble(5, seed=3)
     e1.run(25)
     e2.run(25)
     np.testing.assert_array_equal(e1.indices, e2.indices)
@@ -86,10 +81,10 @@ def test_p_equal_one_matches_parallel_kernel_stream(ring6_game):
 def test_simulate_loop_matches_engine_both_state_backends(ring6_game):
     conc = ConcurrentLogitDynamics(ring6_game, 0.8, p=0.6)
     start = np.zeros(6, dtype=np.int64)
-    traj = conc.simulate_loop(start, 15, np.random.default_rng(7))
+    traj = conc.simulate_loop(start, 15, seed=7)
     loop_indices = [int(ring6_game.space.encode(row)) for row in traj]
     for state in ("index", "matrix"):
-        sim = conc.ensemble(1, start=start, rng=np.random.default_rng(7), state=state)
+        sim = conc.ensemble(1, start=start, seed=7, state=state)
         engine_indices = [int(sim.indices[0])]
         for _ in range(15):
             sim.run(1)
@@ -117,27 +112,20 @@ def test_invalid_update_probability_rejected(ring6_game):
             ProbabilisticKernel(ParallelLogitDynamics(ring6_game, 0.5), p=p)
 
 
-def test_seeded_kernel_dispatch(ring6_game):
-    seeds = np.random.SeedSequence(0).spawn(3)
-    conc = ConcurrentLogitDynamics(ring6_game, 0.5, p=0.3)
-    kern = seeded_kernel_for(conc.kernel(), seeds)
-    assert type(kern) is SeededProbabilisticKernel
+def test_concurrent_kernels(ring6_game):
+    kern = ConcurrentLogitDynamics(ring6_game, 0.5, p=0.3).kernel()
+    assert type(kern) is ProbabilisticKernel
     assert kern.p == pytest.approx(0.3)
-    par = ParallelLogitDynamics(ring6_game, 0.5)
-    assert type(seeded_kernel_for(par.kernel(), seeds)) is SeededParallelKernel
-    with pytest.raises(ValueError, match="seeded"):
-        seeded_kernel_for(object(), seeds)
-
+    par = ParallelLogitDynamics(ring6_game, 0.5).kernel()
+    assert type(par) is ParallelKernel and par.p == 1.0
 
 def test_seeded_concurrent_chunk_size_invariance(ring6_game):
     conc = ConcurrentLogitDynamics(ring6_game, 0.8, p=0.6)
     start = np.zeros(6, dtype=np.int64)
 
     def run_chunks(chunks):
-        sim = EnsembleSimulator.seeded(
-            conc, np.random.SeedSequence(99).spawn(4), start=start
-        )
-        assert type(sim.kernel) is SeededProbabilisticKernel
+        sim = conc.ensemble(4, seed=np.random.SeedSequence(99).spawn(4), start=start)
+        assert type(sim.kernel) is ProbabilisticKernel
         for c in chunks:
             sim.run(c)
         return sim.indices
@@ -148,17 +136,15 @@ def test_seeded_concurrent_chunk_size_invariance(ring6_game):
 
 
 def test_seeded_parallel_matches_seeded_concurrent_p1(ring6_game):
-    """The seeded p = 1 kernel also skips mask rows, so it replays the
-    SeededParallelKernel streams exactly."""
+    """The p = 1 kernel skips mask rows on per-replica streams too, so it
+    replays the ParallelKernel streams exactly."""
     start = np.zeros(6, dtype=np.int64)
     results = []
     for dyn in (
         ParallelLogitDynamics(ring6_game, 0.8),
         ConcurrentLogitDynamics(ring6_game, 0.8, p=1.0),
     ):
-        sim = EnsembleSimulator.seeded(
-            dyn, np.random.SeedSequence(123).spawn(5), start=start
-        )
+        sim = dyn.ensemble(5, seed=np.random.SeedSequence(123).spawn(5), start=start)
         sim.run(20)
         results.append(sim.indices)
     np.testing.assert_array_equal(results[0], results[1])
@@ -221,7 +207,7 @@ class TestParallelTrap:
         steps = 50
         for _ in range(steps):
             mu = mu @ P
-        sim = conc.ensemble(8192, start=0, rng=np.random.default_rng(11))
+        sim = conc.ensemble(8192, start=0, seed=11)
         sim.run(steps)
         emp = np.bincount(sim.indices, minlength=ring4_game.space.size) / 8192
         assert total_variation(emp, mu) < 0.03

@@ -91,3 +91,60 @@ class TestCouplingEstimator:
         )
         assert np.isfinite(estimate)
         assert estimate < 5000
+
+
+class TestTVConvergenceValidation:
+    """Bad inputs raise a ValueError naming the knob, on both drivers."""
+
+    @pytest.fixture
+    def setup(self, ring5_ising_game):
+        from repro.core import LogitDynamics
+
+        dynamics = LogitDynamics(ring5_ising_game, 0.5)
+        return dynamics, dynamics.stationary_distribution()
+
+    @pytest.mark.parametrize("executor", [None, "serial"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda pi: 3.0 * pi,
+            lambda pi: pi - 0.01,
+            lambda pi: np.full_like(pi, np.nan),
+        ],
+        ids=["scaled", "shifted", "nan"],
+    )
+    def test_reference_must_be_a_distribution(self, setup, bad, executor):
+        dynamics, pi = setup
+        with pytest.raises(ValueError, match="reference"):
+            core_mixing.estimate_tv_convergence(
+                dynamics, bad(pi), num_replicas=8, max_time=10, seed=0,
+                executor=executor,
+            )
+
+    @pytest.mark.parametrize("executor", [None, "serial"])
+    @pytest.mark.parametrize("check_every", [0, -3])
+    def test_non_positive_check_every_rejected(self, setup, check_every, executor):
+        dynamics, pi = setup
+        with pytest.raises(ValueError, match="check_every"):
+            core_mixing.estimate_tv_convergence(
+                dynamics, pi, num_replicas=8, max_time=10,
+                check_every=check_every, seed=0, executor=executor,
+            )
+
+    @pytest.mark.parametrize("executor", [None, "serial"])
+    def test_negative_max_time_rejected(self, setup, executor):
+        dynamics, pi = setup
+        with pytest.raises(ValueError, match="max_time"):
+            core_mixing.estimate_tv_convergence(
+                dynamics, pi, num_replicas=8, max_time=-5, seed=0,
+                executor=executor,
+            )
+
+    @pytest.mark.parametrize("executor", [None, "serial"])
+    def test_zero_replicas_rejected(self, setup, executor):
+        dynamics, pi = setup
+        with pytest.raises(ValueError, match="num_replicas"):
+            core_mixing.estimate_tv_convergence(
+                dynamics, pi, num_replicas=0, max_time=10, seed=0,
+                executor=executor,
+            )

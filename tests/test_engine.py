@@ -73,25 +73,25 @@ class TestFixedSeedEquivalence:
     def test_single_replica_matches_loop(self, ring5_ising_game, beta):
         dynamics = LogitDynamics(ring5_ising_game, beta)
         start = (0, 1, 0, 1, 1)
-        loop = dynamics.simulate_loop(start, 400, rng=np.random.default_rng(42))
-        batched = dynamics.simulate(start, 400, rng=np.random.default_rng(42))
+        loop = dynamics.simulate_loop(start, 400, seed=42)
+        batched = dynamics.simulate(start, 400, seed=42)
         np.testing.assert_array_equal(loop, batched)
 
     def test_single_replica_matches_loop_multistrategy(self):
         game = SingletonCongestionGame(num_players=4, num_resources=3)
         dynamics = LogitDynamics(game, 1.2)
         start = (0, 1, 2, 0)
-        loop = dynamics.simulate_loop(start, 300, rng=np.random.default_rng(7))
-        batched = dynamics.simulate(start, 300, rng=np.random.default_rng(7))
+        loop = dynamics.simulate_loop(start, 300, seed=7)
+        batched = dynamics.simulate(start, 300, seed=7)
         np.testing.assert_array_equal(loop, batched)
 
     def test_record_every_matches_loop(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 1.0)
         loop = dynamics.simulate_loop(
-            (0,) * 5, 100, rng=np.random.default_rng(3), record_every=10
+            (0,) * 5, 100, seed=3, record_every=10
         )
         batched = dynamics.simulate(
-            (0,) * 5, 100, rng=np.random.default_rng(3), record_every=10
+            (0,) * 5, 100, seed=3, record_every=10
         )
         np.testing.assert_array_equal(loop, batched)
 
@@ -101,7 +101,7 @@ class TestFixedSeedEquivalence:
         runs = {}
         for mode in ("gather", "matrix_free"):
             sim = EnsembleSimulator(
-                dynamics, 32, start=start, rng=np.random.default_rng(11), mode=mode
+                dynamics, 32, start=start, seed=11, mode=mode
             )
             runs[mode] = sim.run(200, record_every=1)
         np.testing.assert_array_equal(runs["gather"], runs["matrix_free"])
@@ -124,7 +124,7 @@ class TestFixedSeedEquivalence:
 class TestEnsembleSimulator:
     def test_every_step_is_a_single_site_update(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 1.0)
-        sim = dynamics.ensemble(8, start=(0, 1, 0, 1, 0), rng=np.random.default_rng(0))
+        sim = dynamics.ensemble(8, start=(0, 1, 0, 1, 0), seed=0)
         traj = sim.run(50, record_every=1)  # (51, 8, 5)
         diffs = np.count_nonzero(traj[1:] != traj[:-1], axis=2)
         assert np.all(diffs <= 1)
@@ -172,7 +172,7 @@ class TestEnsembleSimulator:
 
     def test_empirical_distribution_sums_to_one(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 0.5)
-        sim = dynamics.ensemble(64, rng=np.random.default_rng(2))
+        sim = dynamics.ensemble(64, seed=2)
         sim.run(100)
         dist = sim.empirical_distribution()
         assert dist.shape == (32,)
@@ -187,7 +187,7 @@ class TestEnsembleSimulator:
     def test_hitting_times_reach_dominant_profile(self, dominant_game):
         dynamics = LogitDynamics(dominant_game, 5.0)
         target = dominant_game.space.encode((0, 0, 0))
-        sim = dynamics.ensemble(16, start=(1, 1, 1), rng=np.random.default_rng(4))
+        sim = dynamics.ensemble(16, start=(1, 1, 1), seed=4)
         times = sim.hitting_times(target, max_steps=20_000)
         assert np.all(times > 0)
 
@@ -199,7 +199,7 @@ class TestEnsembleSimulator:
             states=[all0],
             num_replicas=32,
             max_steps=10_000,
-            rng=np.random.default_rng(8),
+            seed=8,
         )
         assert np.all(times > 0)
 
@@ -211,7 +211,7 @@ class TestEnsembleSimulator:
 
         beta = 0.5
         dynamics = LogitDynamics(two_well_game, beta)
-        sim = dynamics.ensemble(4000, rng=np.random.default_rng(9))
+        sim = dynamics.ensemble(4000, seed=9)
         sim.run(600)
         pi = gibbs_measure(two_well_game.potential_vector(), beta)
         assert total_variation(sim.empirical_distribution(), pi) < 0.05
@@ -292,7 +292,7 @@ class TestEnsembleMixingEstimate:
             num_replicas=64,
             epsilon=1e-9,  # unreachable: force the run to the horizon
             max_time=10**4,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         assert estimate.capped
         assert estimate.mixing_time_estimate <= 50
@@ -319,7 +319,7 @@ class TestEnsembleMixingEstimate:
             beta,
             num_replicas=4096,
             check_every=1,
-            rng=np.random.default_rng(10),
+            seed=10,
         )
         assert not estimate.capped
         # single-start sampled estimate vs worst-case exact quantity, with
@@ -329,7 +329,7 @@ class TestEnsembleMixingEstimate:
     def test_tv_curve_is_recorded_and_decreasing_overall(self):
         game = IsingGame(nx.cycle_graph(5))
         estimate = estimate_mixing_time_ensemble(
-            game, 0.3, num_replicas=512, rng=np.random.default_rng(3), max_time=500
+            game, 0.3, num_replicas=512, seed=3, max_time=500
         )
         curve = estimate.tv_curve
         assert curve.ndim == 2 and curve.shape[1] == 2
@@ -363,7 +363,7 @@ class TestEnsembleMetastability:
             well,
             num_replicas=400,
             max_steps=200_000,
-            rng=np.random.default_rng(12),
+            seed=12,
         )
         assert np.all(samples > 0)
         assert samples.mean() == pytest.approx(exact, rel=0.35)
@@ -377,7 +377,7 @@ class TestEnsembleMetastability:
             targets=all1,
             num_replicas=32,
             max_steps=100_000,
-            rng=np.random.default_rng(13),
+            seed=13,
         )
         assert np.all(samples > 0)
 

@@ -64,7 +64,7 @@ class TestBackendEquivalence:
             runs = {}
             for state in ("index", "matrix"):
                 sim = dynamics.ensemble(
-                    16, start=start, rng=np.random.default_rng(42),
+                    16, start=start, seed=42,
                     mode="matrix_free", state=state,
                 )
                 runs[state] = sim.run(250, record_every=1)
@@ -76,10 +76,10 @@ class TestBackendEquivalence:
     def test_matrix_backend_matches_gather_mode(self, ring7_game):
         dynamics = LogitDynamics(ring7_game, 1.0)
         gather = dynamics.ensemble(
-            8, start=(0,) * 7, rng=np.random.default_rng(3), mode="gather"
+            8, start=(0,) * 7, seed=3, mode="gather"
         ).run(300, record_every=1)
         matrix = dynamics.ensemble(
-            8, start=(0,) * 7, rng=np.random.default_rng(3), state="matrix"
+            8, start=(0,) * 7, seed=3, state="matrix"
         ).run(300, record_every=1)
         np.testing.assert_array_equal(gather, matrix)
 
@@ -89,11 +89,11 @@ class TestBackendEquivalence:
         game = SingletonCongestionGame(num_players=4, num_resources=3)
         dynamics = LogitDynamics(game, 1.2)
         a = dynamics.ensemble(
-            8, start=(0, 1, 2, 0), rng=np.random.default_rng(5), state="index",
+            8, start=(0, 1, 2, 0), seed=5, state="index",
             mode="matrix_free",
         ).run(200, record_every=1)
         b = dynamics.ensemble(
-            8, start=(0, 1, 2, 0), rng=np.random.default_rng(5), state="matrix"
+            8, start=(0, 1, 2, 0), seed=5, state="matrix"
         ).run(200, record_every=1)
         np.testing.assert_array_equal(a, b)
 
@@ -103,7 +103,7 @@ class TestBackendEquivalence:
         times = {}
         for state in ("index", "matrix"):
             sim = dynamics.ensemble(
-                12, start=(0,) * 7, rng=np.random.default_rng(9),
+                12, start=(0,) * 7, seed=9,
                 mode="matrix_free", state=state,
             )
             times[state] = sim.hitting_times(target, max_steps=30_000)
@@ -115,10 +115,10 @@ class TestBackendEquivalence:
         dynamics = LogitDynamics(ring7_game, 2.0)
         target = ring7_game.space.encode((1,) * 7)
         by_index = dynamics.ensemble(
-            12, start=(0,) * 7, rng=np.random.default_rng(9), state="matrix"
+            12, start=(0,) * 7, seed=9, state="matrix"
         ).hitting_times(target, max_steps=30_000)
         by_predicate = dynamics.ensemble(
-            12, start=(0,) * 7, rng=np.random.default_rng(9), state="matrix"
+            12, start=(0,) * 7, seed=9, state="matrix"
         ).hitting_times(lambda prof: prof.min(axis=1) == 1, max_steps=30_000)
         np.testing.assert_array_equal(by_index, by_predicate)
 
@@ -128,7 +128,7 @@ class TestBackendEquivalence:
         well = [all0] + [int(x) for x in ring7_game.space.neighbors(all0)]
         well_arr = np.asarray(well)
         by_index = dynamics.ensemble(
-            16, start=(0,) * 7, rng=np.random.default_rng(4), state="matrix"
+            16, start=(0,) * 7, seed=4, state="matrix"
         ).exit_times(well, max_steps=20_000)
         space = ring7_game.space
 
@@ -137,7 +137,7 @@ class TestBackendEquivalence:
             return np.isin(idx, well_arr)
 
         by_predicate = dynamics.ensemble(
-            16, start=(0,) * 7, rng=np.random.default_rng(4), state="matrix"
+            16, start=(0,) * 7, seed=4, state="matrix"
         ).exit_times(inside, max_steps=20_000)
         np.testing.assert_array_equal(by_index, by_predicate)
 
@@ -148,16 +148,16 @@ class TestKernelStateReset:
     @pytest.mark.parametrize("state", ["index", "matrix"])
     def test_round_robin_cursor_resets(self, ring7_game, state):
         dynamics = RoundRobinLogitDynamics(ring7_game, 1.0)
-        sim = dynamics.ensemble(4, rng=np.random.default_rng(0), state=state)
-        sim.run(5)  # cursor mid-round
-        assert sim.kernel_state["cursor"] == 5
+        sim = dynamics.ensemble(4, seed=0, state=state)
+        sim.run(5)  # cursor mid-round: the mover is the step counter mod n
+        assert sim.kernel_state["step"] == 5
         sim.reset()
-        assert sim.kernel_state["cursor"] == 0
+        assert sim.kernel_state["step"] == 0
 
     @pytest.mark.parametrize("state", ["index", "matrix"])
     def test_annealed_step_counter_resets(self, ring7_game, state):
         dynamics = AnnealedLogitDynamics(ring7_game, np.linspace(0.0, 1.0, 40))
-        sim = dynamics.ensemble(4, rng=np.random.default_rng(0), state=state)
+        sim = dynamics.ensemble(4, seed=0, state=state)
         sim.run(7)
         assert sim.kernel_state["step"] == 7
         sim.reset()
@@ -169,12 +169,12 @@ class TestKernelStateReset:
     def test_reset_reproduces_trajectory(self, ring7_game, state):
         dynamics = LogitDynamics(ring7_game, 1.0)
         sim = dynamics.ensemble(
-            6, start=(0,) * 7, rng=np.random.default_rng(21), state=state,
+            6, start=(0,) * 7, seed=21, state=state,
             mode="matrix_free",
         )
         first = sim.run(100, record_every=1)
+        # a reset replays every replica's stream from its seed
         sim.reset((0,) * 7)
-        sim.rng = np.random.default_rng(21)
         second = sim.run(100, record_every=1)
         np.testing.assert_array_equal(first, second)
 
@@ -244,7 +244,7 @@ class TestSparseOccupation:
         dynamics = LogitDynamics(ring7_game, 0.5)
         for state in ("index", "matrix"):
             sim = dynamics.ensemble(
-                64, rng=np.random.default_rng(2), state=state, mode="matrix_free"
+                64, seed=2, state=state, mode="matrix_free"
             )
             sim.run(200)
             dense = sim.empirical_distribution()
@@ -256,7 +256,7 @@ class TestSparseOccupation:
 
     def test_profile_counts_agree_with_sparse(self, ring7_game):
         dynamics = LogitDynamics(ring7_game, 0.5)
-        sim = dynamics.ensemble(32, rng=np.random.default_rng(6), state="matrix")
+        sim = dynamics.ensemble(32, seed=6, state="matrix")
         sim.run(100)
         occupied, counts = sim.empirical_distribution_sparse()
         profiles, pcounts = sim.empirical_profile_counts()
@@ -268,12 +268,12 @@ class TestSparseOccupation:
         np.testing.assert_array_equal(pcounts[order], counts)
 
     def test_sparse_tv_routing_matches_dense(self, ring7_game):
-        from repro.core.mixing import _ensemble_tv
+        from repro.core.mixing import _tv_from_indices
         from repro.markov.tv import total_variation
         from repro.core import gibbs_measure
 
         dynamics = LogitDynamics(ring7_game, 0.5)
-        sim = dynamics.ensemble(64, rng=np.random.default_rng(8))
+        sim = dynamics.ensemble(64, seed=8)
         sim.run(150)
         pi = gibbs_measure(ring7_game.potential_vector(), 0.5)
         dense = total_variation(sim.empirical_distribution(), pi)
@@ -282,7 +282,8 @@ class TestSparseOccupation:
         emp = counts / sim.num_replicas
         sparse = 0.5 * (np.abs(emp - pi[occupied]).sum() + (1.0 - pi[occupied].sum()))
         assert sparse == pytest.approx(dense, abs=1e-12)
-        assert _ensemble_tv(sim, pi) == pytest.approx(dense, abs=1e-12)
+        tv = _tv_from_indices(sim.indices, pi, ring7_game.space.size)
+        assert tv == pytest.approx(dense, abs=1e-12)
 
 
 class TestInt64Boundaries:
@@ -388,7 +389,7 @@ class TestLargeScaleAcceptance:
         game = big_ring_game
         assert not game.space.fits_int64
         for dynamics in _all_dynamics(game, beta=0.5):
-            sim = dynamics.ensemble(8, rng=np.random.default_rng(1))
+            sim = dynamics.ensemble(8, seed=1)
             assert sim.state.kind == "matrix"
             sim.run(60)
             assert sim.profiles.shape == (8, BIG_N)
@@ -397,7 +398,7 @@ class TestLargeScaleAcceptance:
         game = big_ring_game
         dynamics = LogitDynamics(game, 0.5)
         # start all spins down; the predicate fires once 4 spins flipped up
-        sim = dynamics.ensemble(8, rng=np.random.default_rng(2))
+        sim = dynamics.ensemble(8, seed=2)
         threshold = -1.0 + 2.0 * 4 / BIG_N
 
         def reached(profiles):
@@ -421,7 +422,7 @@ class TestLargeScaleAcceptance:
             max_steps=20_000,
             start_profiles=np.zeros(BIG_N, dtype=np.int64),
             dynamics=dynamics,
-            rng=np.random.default_rng(3),
+            seed=3,
         )
         assert np.all(times > 0)
 
@@ -434,7 +435,7 @@ class TestLargeScaleAcceptance:
             targets=lambda prof: game.magnetization_of_profiles(prof) >= -0.99,
             num_replicas=4,
             max_steps=50_000,
-            rng=np.random.default_rng(4),
+            seed=4,
         )
         assert np.all(times > 0)
 
@@ -452,7 +453,7 @@ class TestLargeScaleAcceptance:
             ),
             num_replicas=8,
             max_steps=20_000,
-            rng=np.random.default_rng(5),
+            seed=5,
         )
         assert len(result.records) == 2
         for record in result.records:

@@ -269,23 +269,31 @@ class TestRowwiseCSRGather:
         )
 
     def test_pa_trajectory_pinned(self):
-        # fixed-seed MatrixState trajectory through the row-wise path; the
-        # digest was recorded with the earlier padded max-degree gather, so
-        # it pins bit-for-bit agreement of the two implementations
+        # fixed-seed MatrixState trajectory through the row-wise path, pinned
+        # by digest and checked against the per-player grouped path (the
+        # digest was re-recorded when the engine moved to per-replica
+        # streams; the grouped path pins the row-wise gather independently)
         graph = preferential_attachment_graph(400, 2, rng=np.random.default_rng(2011))
         game = IsingGame(graph, coupling=1.0, field=0.1)
-        sim = LogitDynamics(game, 0.7).ensemble(
-            48, start=(0,) * game.num_players, rng=np.random.default_rng(5),
-            state="matrix",
-        )
-        assert sim._rowwise_rule is not None
-        digest = hashlib.sha256()
-        for _ in range(6):
-            sim.run(200)
-            digest.update(np.ascontiguousarray(sim.profiles, dtype=np.int8).tobytes())
-        assert digest.hexdigest() == (
-            "14a2a928b32952a52c42756393da45a32e3989eeb7f869a932d5b99cf64e56ea"
-        )
+        digests = []
+        for grouped in (False, True):
+            sim = LogitDynamics(game, 0.7).ensemble(
+                48, start=(0,) * game.num_players, seed=5,
+                state="matrix",
+            )
+            assert sim._rowwise_rule is not None
+            if grouped:
+                sim._rowwise_rule = None
+            digest = hashlib.sha256()
+            for _ in range(6):
+                sim.run(200)
+                digest.update(
+                    np.ascontiguousarray(sim.profiles, dtype=np.int8).tobytes()
+                )
+            digests.append(digest.hexdigest())
+        assert digests == [
+            "14decd414f18aee2b959705e270e2c9ed295a6463bc79790cd5ce4097b6891ab"
+        ] * 2
 
     def test_huge_star_is_linear_in_size(self):
         # a max-degree-padded adjacency would need n * max_deg slots here
@@ -293,7 +301,7 @@ class TestRowwiseCSRGather:
         game = IsingGame(star_graph(20_000), coupling=1.0)
         assert len(pickle.dumps(game)) < 20_000_000
         sim = LogitDynamics(game, 1.0).ensemble(
-            4, start=(0,) * game.num_players, rng=np.random.default_rng(1),
+            4, start=(0,) * game.num_players, seed=1,
             state="matrix",
         )
         assert sim._rowwise_rule is not None
@@ -380,7 +388,7 @@ class TestNonPotentialGames:
             game.potential_of_profiles(np.zeros((1, 2), dtype=int))
         # utilities and the engine still work — only potential accessors go
         dynamics = LogitDynamics(game, 1.0)
-        sim = dynamics.ensemble(4, rng=np.random.default_rng(0))
+        sim = dynamics.ensemble(4, seed=0)
         sim.run(50)
 
     def test_derive_edge_potential_roundtrip(self):
@@ -412,7 +420,7 @@ class TestEngineIntegration:
         runs = {}
         for state in ("index", "matrix"):
             sim = dynamics.ensemble(
-                6, rng=np.random.default_rng(0), state=state, mode="matrix_free"
+                6, seed=0, state=state, mode="matrix_free"
             )
             runs[state] = sim.run(80, record_every=1)
         np.testing.assert_array_equal(runs["index"], runs["matrix"])

@@ -156,18 +156,18 @@ class TestChainProperties:
 class TestSimulation:
     def test_trajectory_shape(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 1.0)
-        traj = dynamics.simulate((0, 0, 0, 0, 0), 50, rng=np.random.default_rng(0))
+        traj = dynamics.simulate((0, 0, 0, 0, 0), 50, seed=0)
         assert traj.shape == (51, 5)
         assert np.all((traj >= 0) & (traj <= 1))
 
     def test_record_every(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 1.0)
-        traj = dynamics.simulate((0, 0, 0, 0, 0), 50, rng=np.random.default_rng(0), record_every=10)
+        traj = dynamics.simulate((0, 0, 0, 0, 0), 50, seed=0, record_every=10)
         assert traj.shape == (6, 5)
 
     def test_consecutive_profiles_differ_in_at_most_one_player(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 1.0)
-        traj = dynamics.simulate((0, 1, 0, 1, 0), 100, rng=np.random.default_rng(1))
+        traj = dynamics.simulate((0, 1, 0, 1, 0), 100, seed=1)
         diffs = np.count_nonzero(traj[1:] != traj[:-1], axis=1)
         assert np.all(diffs <= 1)
 
@@ -175,8 +175,7 @@ class TestSimulation:
         """Long-run occupation frequencies approach the Gibbs measure."""
         beta = 0.5
         dynamics = LogitDynamics(two_well_game, beta)
-        rng = np.random.default_rng(5)
-        traj = dynamics.simulate((0, 0, 0, 0), 40_000, rng=rng)
+        traj = dynamics.simulate((0, 0, 0, 0), 40_000, seed=5)
         indices = two_well_game.space.encode_many(traj[2000:])
         counts = np.bincount(indices, minlength=two_well_game.space.size)
         empirical = counts / counts.sum()
@@ -192,7 +191,7 @@ class TestSimulation:
         dynamics = LogitDynamics(dominant_game, 5.0)
         target = dominant_game.space.encode((0, 0, 0))
         t = dynamics.simulate_hitting_time(
-            (1, 1, 1), target, rng=np.random.default_rng(2), max_steps=10_000
+            (1, 1, 1), target, seed=2, max_steps=10_000
         )
         assert t > 0
 

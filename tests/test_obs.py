@@ -320,7 +320,7 @@ class TestNoOpOverhead:
     def test_default_tracer_is_the_null_singleton(self):
         game = IsingGame(nx.cycle_graph(16), coupling=1.0)
         sim = LogitDynamics(game, 1.0).ensemble(
-            8, rng=np.random.default_rng(0), state="matrix"
+            8, seed=0, state="matrix"
         )
         assert sim.tracer is NULL_TRACER
 
@@ -330,7 +330,7 @@ class TestNoOpOverhead:
         game = IsingGame(nx.cycle_graph(16), coupling=1.0)
         tracer = Tracer(run_id="abc")
         sim = LogitDynamics(game, 1.0).ensemble(
-            8, rng=np.random.default_rng(0), state="matrix", tracer=tracer
+            8, seed=0, state="matrix", tracer=tracer
         )
         before = len(tracer.events)
         sim.run(10)
@@ -353,7 +353,7 @@ class TestNoOpOverhead:
 
         def build():
             return dynamics.ensemble(
-                reps, rng=np.random.default_rng(0), state="matrix"
+                reps, seed=0, state="matrix"
             )
 
         traced_sim, bare_sim = build(), build()

@@ -191,8 +191,8 @@ class TestFixedSeedLoopVsEngine:
         game = FiniteOpinionGame(path_graph(3), BELIEFS3, num_opinions=num_opinions)
         dynamics = factory(game)
         start = (0,) * game.num_players
-        loop = dynamics.simulate_loop(start, 200, rng=np.random.default_rng(42))
-        engine = dynamics.simulate(start, 200, rng=np.random.default_rng(42))
+        loop = dynamics.simulate_loop(start, 200, seed=42)
+        engine = dynamics.simulate(start, 200, seed=42)
         np.testing.assert_array_equal(loop, engine)
 
 
@@ -202,7 +202,7 @@ class TestEnsembleMatchesMatrixPowers:
     @staticmethod
     def _empirical_after(dynamics, start_index, num_steps, state, seed):
         sim = dynamics.ensemble(
-            6000, start=int(start_index), rng=np.random.default_rng(seed), state=state
+            6000, start=int(start_index), seed=seed, state=state
         )
         sim.run(num_steps)
         return sim.empirical_distribution()
@@ -236,7 +236,7 @@ class TestEnsembleMatchesMatrixPowers:
             runs = {}
             for state in ("index", "matrix"):
                 sim = dynamics.ensemble(
-                    32, start=(0,) * 3, rng=np.random.default_rng(5), state=state
+                    32, start=(0,) * 3, seed=5, state=state
                 )
                 runs[state] = sim.run(120, record_every=1)
             np.testing.assert_array_equal(runs["index"], runs["matrix"])
@@ -289,7 +289,7 @@ class TestTheoryTargetsAtSmallN:
         pi = gibbs_measure(game.potential_vector(), beta)
         rng = np.random.default_rng(17)
         starts = rng.choice(game.space.size, size=4000, p=pi)
-        sim = LogitDynamics(game, beta).ensemble(4000, start_indices=starts, rng=rng)
+        sim = LogitDynamics(game, beta).ensemble(4000, start_indices=starts, seed=17)
         sim.run(60)
         profiles = game.space.decode_many(sim.indices)
         mean_cost = float(game.social_cost_of_profiles(profiles).mean())

@@ -20,7 +20,12 @@ from repro.core.metastability import empirical_escape_times, empirical_hitting_t
 from repro.core.mixing import estimate_mixing_time_ensemble, estimate_tv_convergence
 from repro.analysis.welfare import estimate_stationary_welfare
 from repro.core.logit import LogitDynamics
-from repro.engine.kernels import SeededSequentialKernel
+from repro.core.variants import (
+    AnnealedLogitDynamics,
+    ParallelLogitDynamics,
+    RoundRobinLogitDynamics,
+)
+from repro.engine.kernels import spawn_block
 from repro.games import IsingGame, TwoWellGame
 from repro.parallel import (
     ShardedExecutor,
@@ -56,7 +61,7 @@ class MagnetizationAtLeast:
 def test_spawn_block_matches_serial_spawn():
     root = np.random.SeedSequence(1234)
     serial = np.random.SeedSequence(1234).spawn(10)
-    block = SeededSequentialKernel.spawn_block(root, 3, 4)
+    block = spawn_block(root, 3, 4)
     for mine, reference in zip(block, serial[3:7]):
         assert mine.spawn_key == reference.spawn_key
         np.testing.assert_array_equal(
@@ -70,7 +75,7 @@ def test_spawn_block_matches_serial_spawn():
 def test_spawn_block_on_an_already_spawned_parent():
     parent = np.random.SeedSequence(7).spawn(3)[2]
     serial = np.random.SeedSequence(7).spawn(3)[2].spawn(5)
-    block = SeededSequentialKernel.spawn_block(parent, 0, 5)
+    block = spawn_block(parent, 0, 5)
     for mine, reference in zip(block, serial):
         np.testing.assert_array_equal(
             np.random.default_rng(mine).random(4),
@@ -81,7 +86,7 @@ def test_spawn_block_on_an_already_spawned_parent():
 def test_spawn_block_rejects_negative_positions():
     root = np.random.SeedSequence(0)
     with pytest.raises(ValueError):
-        SeededSequentialKernel.spawn_block(root, -1, 2)
+        spawn_block(root, -1, 2)
 
 
 def test_shard_plan_partitions_exactly():
@@ -130,11 +135,22 @@ def test_run_until_width_shard_count_invariance():
         )
 
 
-def test_hitting_time_estimator_shard_count_invariance():
+#: dynamics overrides the invariance tests run under: the default logit
+#: chain, the cyclic kernel and the time-inhomogeneous one
+DYNAMICS = {
+    "logit": lambda game: None,
+    "round_robin": lambda game: RoundRobinLogitDynamics(game, 0.7),
+    "annealed": lambda game: AnnealedLogitDynamics(game, lambda t: 0.2 + 0.001 * t),
+}
+
+
+@pytest.mark.parametrize("make", DYNAMICS.values(), ids=DYNAMICS.keys())
+def test_hitting_time_estimator_shard_count_invariance(make):
     game = IsingGame(nx.cycle_graph(6), coupling=1.0)
     target = int(game.space.encode(np.ones(6, dtype=np.int64)))
     common = dict(
-        max_steps=400, precision=1e-9, chunk_size=32, max_replicas=64, seed=5
+        max_steps=400, precision=1e-9, chunk_size=32, max_replicas=64, seed=5,
+        dynamics=make(game),
     )
     serial = empirical_hitting_times(game, 0.7, 0, target, **common)
     for k in (1, 3, 8):
@@ -191,6 +207,28 @@ def test_tv_convergence_shard_count_invariance():
         np.testing.assert_array_equal(base.final_indices, runs[k].final_indices)
         assert base.mixing_time_estimate == runs[k].mixing_time_estimate
         assert base.converged == runs[k].converged
+
+
+@pytest.mark.parametrize(
+    "make", list(DYNAMICS.values())[1:], ids=list(DYNAMICS.keys())[1:]
+)
+def test_tv_convergence_shard_count_invariance_of_cyclic_and_annealed(make):
+    """Rebuilt shards resume the dynamics' clock at the checkpoint time, so
+    the round-robin cursor and the annealed schedule continue across
+    checkpoints for every shard count."""
+    game = IsingGame(nx.cycle_graph(5), coupling=1.0)
+    dynamics = make(game)
+    pi = LogitDynamics(game, 0.7).stationary_distribution()
+    runs = [
+        estimate_tv_convergence(
+            dynamics, pi, num_replicas=48, epsilon=0.01, max_time=60,
+            check_every=7, seed=4, executor=ShardedExecutor(k),
+        )
+        for k in (1, 3, 8)
+    ]
+    for other in runs[1:]:
+        np.testing.assert_array_equal(runs[0].tv_curve, other.tv_curve)
+        np.testing.assert_array_equal(runs[0].final_indices, other.final_indices)
 
 
 def test_tv_convergence_sharded_band_invariance():
@@ -326,18 +364,25 @@ def test_executor_requires_adaptive_mode():
         empirical_escape_times(game, 0.5, [0, 1], executor=ShardedExecutor(2))
 
 
-def test_tv_convergence_knob_conflicts():
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda game: ParallelLogitDynamics(game, 0.5),
+        lambda game: RoundRobinLogitDynamics(game, 0.5),
+    ],
+    ids=["parallel", "round_robin"],
+)
+def test_tv_convergence_row_kernels_serial_matches_sharded(make):
+    """The row-stream kernels never draw past a checkpoint and the shards
+    resume the clock, so the serial and the sharded TV drivers agree
+    bit-for-bit on the same seed."""
     game = IsingGame(nx.cycle_graph(5), coupling=1.0)
-    dynamics = LogitDynamics(game, 0.5)
-    pi = dynamics.stationary_distribution()
-    with pytest.raises(ValueError, match="rng"):
-        estimate_tv_convergence(
-            dynamics,
-            pi,
-            num_replicas=8,
-            max_time=10,
-            rng=np.random.default_rng(0),
-            executor=ShardedExecutor(2),
-        )
-    with pytest.raises(ValueError, match="seed"):
-        estimate_tv_convergence(dynamics, pi, num_replicas=8, max_time=10, seed=3)
+    dynamics = make(game)
+    pi = LogitDynamics(game, 0.5).stationary_distribution()
+    common = dict(num_replicas=24, epsilon=0.01, max_time=40, check_every=7, seed=3)
+    serial = estimate_tv_convergence(dynamics, pi, **common)
+    sharded = estimate_tv_convergence(
+        dynamics, pi, executor=ShardedExecutor(3), **common
+    )
+    np.testing.assert_array_equal(serial.tv_curve, sharded.tv_curve)
+    np.testing.assert_array_equal(serial.final_indices, sharded.final_indices)

@@ -126,7 +126,7 @@ class TestDynamicsFamilySweep:
             start=0,
             escape_states=[0],
             max_escape_steps=5000,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         assert result.parameter_name == "dynamics_family"
         assert [r.extra["dynamics"] for r in result.records] == [
@@ -163,7 +163,7 @@ class TestDynamicsFamilySweep:
             max_time=10**4,
             escape_states=[0],
             max_escape_steps=10**4,
-            rng=np.random.default_rng(1),
+            seed=1,
         )
         record = result.records[0]
         assert record.extra["capped"]
@@ -269,30 +269,30 @@ def _pinned_matrix_cell(store):
 PINNED_CELLS = {
     "ensemble_beta_sweep": (
         _pinned_beta_cell,
-        "e247aca39e9511c568f9bd912c012fba8743f685777dfdb15f7a5a5b0051678d",
+        "c0203edf1211c32c7aca90b91e1035e6cb82a72f6487d32898ca4cb43b41f74d",
         0.5,
-        50.0,
-        {"tv_at_estimate": 0.24445241695855274, "capped": False, "converged": True},
+        -1.0,
+        {"tv_at_estimate": 0.34788823623100706, "capped": True, "converged": False},
     ),
     "dynamics_family_sweep": (
         _pinned_family_cell,
-        "52b03de8ac0a9d3d9768300cb94c5d366e973d0ab28388c1697e485ab715a879",
+        "4bb0233c3b52909abd4466cf8b576f75ccf0e5883d8d5f2d7f1fb118316d5046",
         0.0,
-        -1.0,
+        45.0,
         {
             "dynamics": "logit",
-            "tv_at_estimate": 0.25159900136007624,
-            "capped": True,
-            "converged": False,
-            "mean_welfare": 5.0,
-            "welfare_lower": 2.237106044080241,
-            "welfare_upper": 7.762893955919759,
+            "tv_at_estimate": 0.2481980520476196,
+            "capped": False,
+            "converged": True,
+            "mean_welfare": 5.5,
+            "welfare_lower": 3.0030844221221815,
+            "welfare_upper": 7.996915577877818,
             "escape_fraction": 1.0,
-            "mean_escape_time": 7.46875,
+            "mean_escape_time": 5.5625,
             "escape_quantile_q": 0.5,
-            "escape_quantile": 5.088062622309197,
-            "escape_quantile_lower": 1.9569471624266144,
-            "escape_quantile_upper": 18.003913894324853,
+            "escape_quantile": 3.131115459882583,
+            "escape_quantile_lower": 0.9784735812133072,
+            "escape_quantile_upper": 14.090019569471623,
         },
     ),
     "hitting_time_size_sweep": (
@@ -311,17 +311,17 @@ PINNED_CELLS = {
     ),
     "scenario_matrix": (
         _pinned_matrix_cell,
-        "b0a13c5e3a6c1eda7816fe741463da2986fad62a5c4077365f482e1180578281",
+        "a30bfe5017d5413ec8ef236c93f7ad9a415cadd6946c10b87875b7415fca6884",
         0.0,
         24.0,
         {
             "dynamics": "logit",
-            "tv_at_estimate": 0.18720578145944053,
+            "tv_at_estimate": 0.20966409900229382,
             "capped": False,
             "converged": True,
-            "mean_welfare": 2.5,
-            "welfare_lower": 1.1944473596637935,
-            "welfare_upper": 3.8055526403362068,
+            "mean_welfare": 2.25,
+            "welfare_lower": 1.0706288454027917,
+            "welfare_upper": 3.4293711545972085,
         },
     ),
 }

@@ -22,14 +22,14 @@ import networkx as nx
 class TestEmpiricalDistribution:
     def test_counts_normalised(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 1.0)
-        traj = dynamics.simulate((0,) * 5, 200, rng=np.random.default_rng(0))
+        traj = dynamics.simulate((0,) * 5, 200, seed=0)
         dist = empirical_distribution(ring5_ising_game, traj)
         assert dist.shape == (32,)
         assert dist.sum() == pytest.approx(1.0)
 
     def test_burn_in_validation(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 1.0)
-        traj = dynamics.simulate((0,) * 5, 10, rng=np.random.default_rng(0))
+        traj = dynamics.simulate((0,) * 5, 10, seed=0)
         with pytest.raises(ValueError):
             empirical_distribution(ring5_ising_game, traj, burn_in=100)
 
@@ -40,7 +40,7 @@ class TestEmpiricalDistribution:
     def test_tv_to_stationary_small_after_long_run(self):
         game = GraphicalCoordinationGame(nx.cycle_graph(4), CoordinationParams.ising(1.0))
         tv = empirical_tv_to_stationary(
-            game, beta=0.5, num_steps=30_000, rng=np.random.default_rng(1)
+            game, beta=0.5, num_steps=30_000, seed=1
         )
         assert tv < 0.08
 
@@ -67,7 +67,7 @@ class TestHittingTimes:
             game, beta, start_index=game.space.encode(start), target_index=target
         )
         samples = hitting_time_samples(
-            game, beta, start, target, num_samples=200, rng=np.random.default_rng(4)
+            game, beta, start, target, num_samples=200, seed=4
         )
         assert np.all(samples >= 0)
         mean = samples.mean()
@@ -83,7 +83,7 @@ class TestHittingTimes:
             target_index=all1,
             num_samples=3,
             max_steps=20,
-            rng=np.random.default_rng(5),
+            seed=5,
         )
         assert np.all(samples == -1)
 
@@ -96,7 +96,7 @@ class TestOccupation:
             beta=4.0,
             states=[game.space.encode((0, 0, 0))],
             num_steps=20_000,
-            rng=np.random.default_rng(6),
+            seed=6,
         )
         pi = gibbs_measure(game.potential_vector(), 4.0)
         expected = pi[game.space.encode((0, 0, 0))]
@@ -105,8 +105,8 @@ class TestOccupation:
     def test_fraction_sums_to_one_over_partition(self, ring5_ising_game):
         states_a = list(range(16))
         states_b = list(range(16, 32))
-        kwargs = dict(beta=0.3, num_steps=5000, rng=np.random.default_rng(7))
+        kwargs = dict(beta=0.3, num_steps=5000, seed=7)
         frac_a = fraction_of_time_in(ring5_ising_game, states=states_a, **kwargs)
-        kwargs = dict(beta=0.3, num_steps=5000, rng=np.random.default_rng(7))
+        kwargs = dict(beta=0.3, num_steps=5000, seed=7)
         frac_b = fraction_of_time_in(ring5_ising_game, states=states_b, **kwargs)
         assert frac_a + frac_b == pytest.approx(1.0)

@@ -73,8 +73,8 @@ class TestFixedSeedEquivalence:
     def test_engine_matches_loop(self, variant_name, factory, game_name, game):
         dynamics = factory(game)
         start = (0,) * game.num_players
-        loop = dynamics.simulate_loop(start, 250, rng=np.random.default_rng(42))
-        engine = dynamics.simulate(start, 250, rng=np.random.default_rng(42))
+        loop = dynamics.simulate_loop(start, 250, seed=42)
+        engine = dynamics.simulate(start, 250, seed=42)
         np.testing.assert_array_equal(loop, engine)
 
     @pytest.mark.parametrize("variant_name,factory", variant_factories())
@@ -82,10 +82,10 @@ class TestFixedSeedEquivalence:
         game = SingletonCongestionGame(num_players=4, num_resources=3)
         dynamics = factory(game)
         loop = dynamics.simulate_loop(
-            (0, 1, 2, 0), 120, rng=np.random.default_rng(7), record_every=10
+            (0, 1, 2, 0), 120, seed=7, record_every=10
         )
         engine = dynamics.simulate(
-            (0, 1, 2, 0), 120, rng=np.random.default_rng(7), record_every=10
+            (0, 1, 2, 0), 120, seed=7, record_every=10
         )
         np.testing.assert_array_equal(loop, engine)
 
@@ -102,7 +102,7 @@ class TestFixedSeedEquivalence:
         runs = {}
         for mode in ("gather", "matrix_free"):
             sim = dynamics.ensemble(
-                24, start=(0,) * 4, rng=np.random.default_rng(11), mode=mode
+                24, start=(0,) * 4, seed=11, mode=mode
             )
             runs[mode] = sim.run(150, record_every=1)
         np.testing.assert_array_equal(runs["gather"], runs["matrix_free"])
@@ -121,7 +121,7 @@ class TestEmpiricalMatchesMatrixPowers:
     @staticmethod
     def _empirical_after(dynamics, game, start_index, num_steps, num_replicas, seed):
         sim = dynamics.ensemble(
-            num_replicas, start=int(start_index), rng=np.random.default_rng(seed)
+            num_replicas, start=int(start_index), seed=seed
         )
         sim.run(num_steps)
         return sim.empirical_distribution()
@@ -194,7 +194,7 @@ class TestKernelProperties:
         pi = gibbs_measure(game.potential_vector(), beta)
         rng = np.random.default_rng(seed)
         starts = rng.choice(game.space.size, size=6000, p=pi)
-        sim = LogitDynamics(game, beta).ensemble(6000, start_indices=starts, rng=rng)
+        sim = LogitDynamics(game, beta).ensemble(6000, start_indices=starts, seed=seed)
         sim.run(40)
         assert total_variation(sim.empirical_distribution(), pi) < 0.04
 
@@ -211,7 +211,7 @@ class TestKernelProperties:
         pi_gibbs = gibbs_measure(game.potential_vector(), beta)
         dynamics = ParallelLogitDynamics(game, beta)
         rng = np.random.default_rng(seed)
-        sim = dynamics.ensemble(6000, start=game.space.encode((0, 1)), rng=rng)
+        sim = dynamics.ensemble(6000, start=game.space.encode((0, 1)), seed=seed)
         sim.run(80)
         emp = sim.empirical_distribution()
         # the engine's empirical stationary state is the parallel chain's ...
@@ -224,7 +224,7 @@ class TestKernelProperties:
         assert emp[mis].sum() > 3.0 * pi_gibbs[mis].sum()
         # whereas the sequential kernel, from the same start, is Gibbs-close
         seq = LogitDynamics(game, beta).ensemble(
-            6000, start=game.space.encode((0, 1)), rng=np.random.default_rng(seed)
+            6000, start=game.space.encode((0, 1)), seed=seed
         )
         seq.run(80)
         assert total_variation(seq.empirical_distribution(), pi_gibbs) < 0.05
@@ -243,7 +243,7 @@ class TestKernelProperties:
         dynamics = BestResponseDynamics(game)
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, game.space.size, size=64)
-        sim = dynamics.ensemble(64, start_indices=starts, rng=rng)
+        sim = dynamics.ensemble(64, start_indices=starts, seed=seed)
         times = sim.hitting_times(np.asarray(nash), max_steps=5000)
         assert np.all(times >= 0), "some replica never reached a pure Nash"
         settled = sim.indices
@@ -257,7 +257,7 @@ class TestAnnealedScheduleEdgeCases:
         game = TwoWellGame(3, barrier=1.0)
         dynamics = AnnealedLogitDynamics(game, lambda t: 0.0)
         assert dynamics.beta_at(0) == 0.0
-        traj = dynamics.simulate((0, 0, 0), 50, rng=np.random.default_rng(0))
+        traj = dynamics.simulate((0, 0, 0), 50, seed=0)
         assert traj.shape == (51, 3)
         # at beta = 0 a step is a uniform re-draw of one coordinate: the exact
         # evolution from a point mass must equal the beta = 0 logit chain's
@@ -278,16 +278,16 @@ class TestAnnealedScheduleEdgeCases:
         annealed = AnnealedLogitDynamics(game, lambda t: beta)
         fixed = LogitDynamics(game, beta)
         start = (0, 1, 2, 0)
-        traj_annealed = annealed.simulate(start, 300, rng=np.random.default_rng(21))
-        traj_fixed = fixed.simulate(start, 300, rng=np.random.default_rng(21))
+        traj_annealed = annealed.simulate(start, 300, seed=21)
+        traj_fixed = fixed.simulate(start, 300, seed=21)
         np.testing.assert_array_equal(traj_annealed, traj_fixed)
 
     def test_short_schedule_raises_before_any_step(self):
         game = TwoWellGame(3, barrier=1.0)
         dynamics = AnnealedLogitDynamics(game, [0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="schedule provides 3 betas"):
-            dynamics.simulate((0, 0, 0), 10, rng=np.random.default_rng(0))
-        sim = dynamics.ensemble(8, start=(0, 0, 0), rng=np.random.default_rng(0))
+            dynamics.simulate((0, 0, 0), 10, seed=0)
+        sim = dynamics.ensemble(8, start=(0, 0, 0), seed=0)
         before = sim.indices
         with pytest.raises(ValueError, match="schedule provides 3 betas"):
             sim.run(10)
@@ -330,36 +330,36 @@ class TestRoundRobinRoundBookkeeping:
         start = (0,) * 5
         # recording mid-round (record_every=3 on a 5-player game) must
         # produce exactly the matching subsequence of the step-by-step run
-        full = dynamics.simulate(start, 15, rng=np.random.default_rng(5), record_every=1)
-        sparse = dynamics.simulate(start, 15, rng=np.random.default_rng(5), record_every=3)
+        full = dynamics.simulate(start, 15, seed=5, record_every=1)
+        sparse = dynamics.simulate(start, 15, seed=5, record_every=3)
         np.testing.assert_array_equal(sparse, full[::3])
 
     def test_split_runs_continue_the_round(self):
         game = TwoWellGame(5, barrier=1.0)
         dynamics = RoundRobinLogitDynamics(game, 0.8)
-        one_shot = dynamics.ensemble(16, start=(0,) * 5, rng=np.random.default_rng(6))
+        one_shot = dynamics.ensemble(16, start=(0,) * 5, seed=6)
         one_shot.run(12)
-        split = dynamics.ensemble(16, start=(0,) * 5, rng=np.random.default_rng(6))
+        split = dynamics.ensemble(16, start=(0,) * 5, seed=6)
         split.run(4)  # stops mid-round (4 of 5 players moved)
-        assert split.kernel_state["cursor"] == 4
+        assert split.kernel_state["step"] % 5 == 4
         split.run(8)
         np.testing.assert_array_equal(split.indices, one_shot.indices)
-        assert split.kernel_state["cursor"] == 12 % 5
+        assert split.kernel_state["step"] % 5 == 12 % 5
 
     def test_cursor_advances_cyclically_and_resets_with_the_replicas(self):
         game = TwoWellGame(4, barrier=1.0)
         dynamics = RoundRobinLogitDynamics(game, 0.8)
-        sim = dynamics.ensemble(8, start=(0,) * 4, rng=np.random.default_rng(7))
+        sim = dynamics.ensemble(8, start=(0,) * 4, seed=7)
         for t in range(9):
-            assert sim.kernel_state["cursor"] == t % 4
+            assert sim.kernel_state["step"] % 4 == t % 4
             sim.step()
         sim.reset((0,) * 4)
-        assert sim.kernel_state["cursor"] == 0
+        assert sim.kernel_state["step"] == 0
 
     def test_every_step_updates_exactly_the_cursor_player(self):
         game = SingletonCongestionGame(num_players=4, num_resources=3)
         dynamics = RoundRobinLogitDynamics(game, 0.9)
-        traj = dynamics.simulate((0, 1, 2, 0), 40, rng=np.random.default_rng(8))
+        traj = dynamics.simulate((0, 1, 2, 0), 40, seed=8)
         changed = traj[1:] != traj[:-1]
         for t in range(40):
             movers = np.flatnonzero(changed[t])
@@ -374,7 +374,7 @@ class TestVariantHittingTimes:
         game = coordination_game()
         dynamics = ParallelLogitDynamics(game, 2.0)
         t = dynamics.simulate_hitting_time(
-            (0, 1), game.space.encode((0, 0)), rng=np.random.default_rng(0),
+            (0, 1), game.space.encode((0, 0)), seed=0,
             max_steps=10_000,
         )
         assert t > 0
@@ -383,7 +383,7 @@ class TestVariantHittingTimes:
         game = coordination_game()
         dynamics = RoundRobinLogitDynamics(game, 2.0)
         t = dynamics.simulate_hitting_time(
-            (0, 1), game.space.encode((0, 0)), rng=np.random.default_rng(1),
+            (0, 1), game.space.encode((0, 0)), seed=1,
             max_steps=10_000,
         )
         assert t > 0
@@ -395,7 +395,7 @@ class TestVariantHittingTimes:
         game = TwoWellGame(3, barrier=1.0)
         dynamics = AnnealedLogitDynamics(game, [0.0, 0.0])
         t = dynamics.simulate_hitting_time(
-            (0, 0, 0), game.space.encode((1, 1, 1)), rng=np.random.default_rng(2),
+            (0, 0, 0), game.space.encode((1, 1, 1)), seed=2,
             max_steps=10_000,
         )
         assert t == -1
@@ -403,7 +403,7 @@ class TestVariantHittingTimes:
     def test_annealed_first_passage_budget_shrinks_with_use(self):
         game = TwoWellGame(3, barrier=1.0)
         dynamics = AnnealedLogitDynamics(game, [0.5] * 10)
-        sim = dynamics.ensemble(4, start=(0, 0, 0), rng=np.random.default_rng(3))
+        sim = dynamics.ensemble(4, start=(0, 0, 0), seed=3)
         sim.run(6)  # consumes 6 of the 10 scheduled steps
         times = sim.hitting_times(game.space.encode((1, 1, 1)), max_steps=10_000)
         # only 4 schedule steps remained; nobody can report a later hit

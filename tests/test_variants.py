@@ -66,7 +66,7 @@ class TestParallelLogitDynamics:
 
     def test_simulation_shape(self, ring5_ising_game):
         traj = ParallelLogitDynamics(ring5_ising_game, 1.0).simulate(
-            (0,) * 5, 20, rng=np.random.default_rng(0)
+            (0,) * 5, 20, seed=0
         )
         assert traj.shape == (21, 5)
 
@@ -178,7 +178,7 @@ class TestAnnealedLogitDynamics:
     def test_simulation_shape(self):
         game = TwoWellGame(3, barrier=1.0)
         annealed = AnnealedLogitDynamics(game, lambda t: 0.5)
-        traj = annealed.simulate((0, 0, 0), 30, rng=np.random.default_rng(1))
+        traj = annealed.simulate((0, 0, 0), 30, seed=1)
         assert traj.shape == (31, 3)
 
 
